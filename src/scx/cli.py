@@ -16,7 +16,7 @@ import sys
 from itertools import product
 
 from . import complexes, hilbert, properties
-from .errors import InternalInconsistency, ScxError, TooLarge
+from .errors import FacetFormatError, InternalInconsistency, ScxError, TooLarge
 from .vectors import f_to_e, vector_json
 
 
@@ -117,11 +117,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_complex(source: str, stdin) -> complexes.SimplicialComplex:
-    if source == "-":
-        text = stdin.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if source == "-":
+            text = stdin.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        # stdin may decode with surrogateescape, which lets bad bytes through
+        text.encode("utf-8")
+    except UnicodeError:
+        raise FacetFormatError("input is not valid UTF-8") from None
     return complexes.parse_facet_text(text)
 
 

@@ -135,6 +135,15 @@ class SimplicialComplex:
                 sub = (sub - 1) & facet
         return frozenset(faces)
 
+    @cached_property
+    def _minimal_nonface_masks(self) -> tuple[int, ...]:
+        # a minimal non-face is one vertex more than some face, and dropping
+        # any one of its vertices leaves a face
+        faces = self.face_mask_set
+        candidates = {face | (1 << v) for face in faces for v in range(self.n)} - faces
+        return tuple(sorted(m for m in candidates
+                            if all(m ^ (1 << v) in faces for v in bit_indices(m))))
+
     def faces(self) -> list[tuple[str, ...]]:
         """All faces as label tuples, ordered by size then labels."""
         self._require_faces()

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .complexes import SimplicialComplex, bit_indices
 from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter, VoidComplex
-from .hilbert import evaluate_coarse, evaluate_e_poly_exact
+from .hilbert import _fine_coefficients, evaluate_coarse, evaluate_e_poly_exact
 from .vectors import IntPolynomial, e_polynomial, f_polynomial, f_to_e, f_to_h
 
 __all__ = [
@@ -159,39 +159,38 @@ def check_general_ds(c: SimplicialComplex) -> Verdict:
 def is_eulerian(c: SimplicialComplex) -> Verdict:
     """Pure, and every nonempty face's link has the Euler characteristic of a
     sphere of the complementary dimension: chi_top(link of sigma) must equal
-    1 + (-1)^(d + dim sigma). Exhaustive over all nonempty faces; the witness
-    names the first failing face."""
+    1 + (-1)^(d + dim sigma), i.e. the fine coefficient c_sigma, which is
+    1 - chi_top(link of sigma), must be (-1)^(d - |sigma|). The witness names
+    the first failing face in (size, labels) order."""
     _require_nonvoid(c)
     if not c.is_pure():
         return Verdict(False, "not pure")
     d = c.dimension() + 1
-    faces = c.face_mask_set
-    for sigma in sorted(faces, key=lambda m: (m.bit_count(), c._labels_of_mask(m))):
-        if sigma == 0:
-            continue
-        size = sigma.bit_count()
-        chi_top = 0
-        for tau in faces:
-            if tau != sigma and tau & sigma == sigma:
-                chi_top += _sgn(tau.bit_count() - size - 1)
-        want = 1 + _sgn(d + size - 1)
-        if chi_top != want:
-            lab = " ".join(c._labels_of_mask(sigma))
-            return Verdict(False, f"face {{{lab}}}: link chi_top={chi_top}, want {want}")
+    table = _fine_coefficients(c)
+    failing = [sigma for sigma in c.face_mask_set
+               if sigma and table.get(sigma, 0) != _sgn(d - sigma.bit_count())]
+    if not failing:
+        return Verdict(True)
+    size = min(m.bit_count() for m in failing)
+    sigma = min((m for m in failing if m.bit_count() == size), key=c._labels_of_mask)
+    lab = " ".join(c._labels_of_mask(sigma))
+    want = 1 + _sgn(d + size - 1)
+    return Verdict(False, f"face {{{lab}}}: link chi_top={1 - table.get(sigma, 0)}, want {want}")
+
+
+def _sphere_from(c: SimplicialComplex, eul: Verdict) -> Verdict:
+    if not eul.ok:
+        return eul
+    _, chi_top = c.euler_characteristics()
+    want = 1 + _sgn(c.dimension())
+    if chi_top != want:
+        return Verdict(False, f"chi_top={chi_top}, want {want} for a sphere")
     return Verdict(True)
 
 
 def is_eulerian_sphere(c: SimplicialComplex) -> Verdict:
     """Eulerian, with the global Euler characteristic of a (d-1)-sphere."""
-    eul = is_eulerian(c)
-    if not eul.ok:
-        return eul
-    d = c.dimension() + 1
-    _, chi_top = c.euler_characteristics()
-    want = 1 + _sgn(d - 1)
-    if chi_top != want:
-        return Verdict(False, f"chi_top={chi_top}, want {want} for a sphere")
-    return Verdict(True)
+    return _sphere_from(c, is_eulerian(c))
 
 
 def check_link_identity(c: SimplicialComplex) -> LinkIdentityResult:
@@ -262,14 +261,15 @@ def check_half_evaluation(c: SimplicialComplex) -> HalfEvaluation:
 def classify(c: SimplicialComplex) -> PropertyReport:
     """Full report over all checks, with the e-side and h-side conditions
     computed independently; a mismatch between the two raises
-    InternalInconsistency instead of returning."""
+    InternalInconsistency instead of returning. The Eulerian test runs once
+    and its verdict feeds the sphere test."""
     _require_nonvoid(c)
     pe = check_property_e(c)
     weak = check_weak_property_e(c)
     cds = check_classical_ds(c)
     gds = check_general_ds(c)
     eul = is_eulerian(c)
-    sphere = is_eulerian_sphere(c)
+    sphere = _sphere_from(c, eul)
     if weak.ok != gds.ok:
         raise InternalInconsistency(
             f"weak Property E is {weak.ok} but general Dehn-Sommerville is {gds.ok}")

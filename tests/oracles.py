@@ -125,3 +125,59 @@ def random_tree_with_extras(rng, n_vertices, extra_edges):
     rng.shuffle(candidates)
     edges.update(candidates[:extra_edges])
     return [[str(a), str(b)] for a, b in sorted(edges)]
+
+
+def eulerian_by_link_sums(c):
+    """(ok, witness) of the Eulerian test, one link Euler characteristic per face.
+
+    For every nonempty face sigma, chi_top(link of sigma) is summed directly
+    over the faces strictly above sigma and compared with the sphere value
+    1 + (-1)^(d + |sigma| - 1); faces are visited in (size, labels) order so
+    the witness names the first failure. O(F^2) on purpose.
+    """
+    if not c.is_pure():
+        return False, "not pure"
+    d = c.dimension() + 1
+    faces = c.face_mask_set
+    for sigma in sorted(faces, key=lambda m: (m.bit_count(), c._labels_of_mask(m))):
+        if sigma == 0:
+            continue
+        size = sigma.bit_count()
+        chi_top = sum((-1) ** (tau.bit_count() - size - 1)
+                      for tau in faces if tau != sigma and tau & sigma == sigma)
+        want = 1 + (-1) ** (d + size - 1)
+        if chi_top != want:
+            lab = " ".join(c._labels_of_mask(sigma))
+            return False, f"face {{{lab}}}: link chi_top={chi_top}, want {want}"
+    return True, None
+
+
+def eulerian_sphere_by_link_sums(c):
+    """(ok, witness): Eulerian by link sums, and chi_top summed over the faces
+    equals the (d-1)-sphere value 1 + (-1)^(d-1)."""
+    ok, witness = eulerian_by_link_sums(c)
+    if not ok:
+        return ok, witness
+    d = c.dimension() + 1
+    chi_top = sum((-1) ** (m.bit_count() - 1) for m in c.face_mask_set if m)
+    want = 1 + (-1) ** (d - 1)
+    if chi_top != want:
+        return False, f"chi_top={chi_top}, want {want} for a sphere"
+    return True, None
+
+
+def fine_terms_by_submask_walk(c):
+    """Nonzero fine coefficients as sorted (labels, coeff) pairs, expanding
+    prod over i in sigma of (exp(x_i) - 1) for every face by walking its subsets."""
+    terms = {}
+    for face in c.face_mask_set:
+        size = face.bit_count()
+        sub = face
+        while True:
+            terms[sub] = terms.get(sub, 0) + (-1) ** (size - sub.bit_count())
+            if sub == 0:
+                break
+            sub = (sub - 1) & face
+    out = [(c._labels_of_mask(m), x) for m, x in terms.items() if x]
+    out.sort(key=lambda item: (len(item[0]), item[0]))
+    return out

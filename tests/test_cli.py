@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,35 @@ def test_usage_errors_exit_two(ex3_file):
 def test_malformed_input_exits_one():
     code, _, err = cli(["vectors", "-"], stdin_text="simplex 1 2\n")
     assert code == 1 and "FacetFormatError" in err
+
+
+NOT_UTF8 = b"facet a \xff\n"
+
+
+@pytest.mark.parametrize("verb", ["check", "series", "info"])
+def test_non_utf8_input_exits_one(tmp_path, verb):
+    path = tmp_path / "bad.scx"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = cli([verb, str(path)])
+    assert (code, out) == (1, "") and err.startswith("scx: FacetFormatError: ")
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="surrogateescape")
+    out, err = io.StringIO(), io.StringIO()
+    assert run([verb, "-"], stdin=stdin, stdout=out, stderr=err) == 1
+    assert out.getvalue() == "" and err.getvalue().startswith("scx: FacetFormatError: ")
+
+
+def test_non_utf8_input_exits_one_in_a_subprocess(tmp_path):
+    path = tmp_path / "bad.scx"
+    path.write_bytes(NOT_UTF8)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    entry = [sys.executable, "-c", "import sys; from scx.cli import main; sys.exit(main())"]
+    for argv, data in (([str(path)], b""), (["-"], NOT_UTF8)):
+        proc = subprocess.run(entry + ["check"] + argv, input=data, env=env,
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(b"scx: FacetFormatError: ")
 
 
 def test_output_is_deterministic(ex3_file):

@@ -1,6 +1,8 @@
 """Fine and coarse exponential series, graded dimensions, free module series."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -61,6 +63,17 @@ def test_minimal_nonfaces_characterize_faces(corpus4):
             is_face = subset in c.face_mask_set
             contains_nonface = any(m & subset == m for m in masks)
             assert is_face == (not contains_nonface)
+
+
+def test_minimal_nonfaces_do_not_keep_the_complex_alive():
+    # labels no other test uses, so no equal complex was seen before
+    c = from_facets([["wa", "wb", "wc"], ["wb", "wd"], ["wc", "wd"]])
+    ref = weakref.ref(c)
+    assert minimal_nonfaces(c) == (("wa", "wd"), ("wb", "wc", "wd"))
+    assert graded_dimension(c, (1, 0, 0, 1)) == 0
+    del c
+    gc.collect()
+    assert ref() is None
 
 
 # -- graded dimensions ------------------------------------------------------------
@@ -180,6 +193,13 @@ def test_evaluate_coarse_matches_direct_face_sum():
         for t in ts:
             direct = coarse_series_direct(c, t)
             assert evaluate_coarse(e, t) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+def test_evaluate_coarse_overflow_takes_the_leading_sign():
+    assert evaluate_coarse((0, 0, 1), 1000) == math.inf
+    assert evaluate_coarse((-1, 4, -6, 4), 400) == math.inf
+    assert evaluate_coarse((1, -3, 2, 1), 1000) == math.inf
+    assert evaluate_coarse((-1, 4, -6, 4), -1000) == -1.0
 
 
 def test_evaluate_coarse_at_zero_is_one(corpus4):
