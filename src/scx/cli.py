@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import product
 
@@ -77,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--fine", action="store_true", help="include the fine coefficient table")
     p.add_argument("--eval", type=float, default=None, metavar="T",
-                   help="also evaluate the coarse series at t=T")
+                   help="also evaluate the coarse series at a finite t=T "
+                        "(a value beyond the double range prints as \"inf\")")
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("check", parents=[fmt], help="full property report (always all checks)")
@@ -131,7 +133,7 @@ def _read_complex(source: str, stdin) -> complexes.SimplicialComplex:
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload) + "\n"
+    return json.dumps(payload, allow_nan=False) + "\n"
 
 
 def _cmd_info(args, stdin) -> str:
@@ -176,6 +178,8 @@ def _cmd_vectors(args, stdin) -> str:
 
 
 def _cmd_series(args, stdin) -> str:
+    if args.eval is not None and not math.isfinite(args.eval):
+        raise _Usage(f"--eval needs a finite number, got {args.eval}")
     c = _read_complex(args.input, stdin)
     e = f_to_e(c.f_vector())
     payload: dict = {"e": [str(v) for v in e]}
@@ -187,7 +191,9 @@ def _cmd_series(args, stdin) -> str:
         payload["fine"] = [{"subset": list(subset), "coeff": str(coeff)}
                            for subset, coeff in fine.sorted_terms()]
     if args.eval is not None:
-        payload["eval"] = {"t": args.eval, "value": hilbert.evaluate_coarse(e, args.eval)}
+        value = hilbert.evaluate_coarse(e, args.eval)
+        # JSON has no infinity: a value beyond the double range is the string "inf"
+        payload["eval"] = {"t": args.eval, "value": value if math.isfinite(value) else str(value)}
     if not args.pretty:
         return _dump(payload)
     lines = [f"e = ({', '.join(payload['e'])})"]

@@ -32,7 +32,7 @@ from .errors import (
     TooLarge,
     VoidComplex,
 )
-from .vectors import FVector
+from .vectors import FVector, _sign
 
 __all__ = [
     "SimplicialComplex",
@@ -57,10 +57,6 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _parity_sign(k: int) -> int:
-    return -1 if k % 2 else 1
 
 
 def _check_label(raw) -> str:
@@ -212,8 +208,8 @@ class SimplicialComplex:
         topological Euler characteristic. chi_top == chi + 1 always.
         """
         f = self.f_vector()
-        chi = -sum(_parity_sign(i) * f[i] for i in range(len(f)))
-        chi_top = sum(_parity_sign(i) * f[i + 1] for i in range(len(f) - 1))
+        chi = -sum(_sign(i) * f[i] for i in range(len(f)))
+        chi_top = sum(_sign(i) * f[i + 1] for i in range(len(f) - 1))
         return chi, chi_top
 
     # -- constructions ----------------------------------------------------------
@@ -271,6 +267,13 @@ def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
     deterministic index order (lexicographic). ``[[]]`` yields the complex
     whose only face is the empty face; an empty outer list yields the void
     complex. Integer labels are accepted and stored as their decimal strings.
+
+    The dominated facets are found largest first with one bitset per vertex
+    whose bit j marks the j-th facet kept so far that holds the vertex: a
+    mask is dominated exactly when the AND of its vertices' bitsets is
+    nonzero. That is O(m * |F|) word operations on m distinct masks of at
+    most |F| vertices, with words as long as the kept list, instead of m^2
+    pairwise subset tests.
     """
     normalized: list[list[str]] = []
     for facet in facets:
@@ -291,9 +294,23 @@ def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
         for lab in f:
             m |= 1 << index[lab]
         masks.add(m)
-    maximal = tuple(sorted(
-        m for m in masks if not any(m != o and m & o == m for o in masks)))
-    return SimplicialComplex(labels, maximal)
+    # every mask kept before m is at least as large as m and differs from it,
+    # so a kept mask holding all of m's vertices is a strict superset of m
+    above = [0] * len(labels)  # bit j of above[v]: the j-th kept mask holds v
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        vertices = list(bit_indices(m))
+        common = -1 if kept else 0  # -1 stands for every kept mask, so [] drops
+        for v in vertices:
+            common &= above[v]
+            if not common:
+                break
+        if not common:
+            bit = 1 << len(kept)
+            for v in vertices:
+                above[v] |= bit
+            kept.append(m)
+    return SimplicialComplex(labels, tuple(sorted(kept)))
 
 
 def parse_facet_text(text: str) -> SimplicialComplex:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .complexes import SimplicialComplex, bit_indices
 from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter, VoidComplex
 from .hilbert import _fine_coefficients, evaluate_coarse, evaluate_e_poly_exact
-from .vectors import IntPolynomial, e_polynomial, f_polynomial, f_to_e, f_to_h
+from .vectors import IntPolynomial, _sign, e_polynomial, f_polynomial, f_to_e, f_to_h
 
 __all__ = [
     "Verdict",
@@ -40,10 +40,6 @@ __all__ = [
     "classify",
     "is_connected",
 ]
-
-
-def _sgn(k: int) -> int:
-    return -1 if k % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ def _property_e_from(c: SimplicialComplex, first_k: int) -> Verdict:
     e = f_to_e(f)
     d = f.d
     for k in range(first_k, d + 1):
-        want = _sgn(d - k) * f[k]
+        want = _sign(d - k) * f[k]
         if e[k] != want:
             return Verdict(False, f"k={k}: e_{k}={e[k]}, want (-1)^(d-k)*f_{k - 1}={want}")
     return Verdict(True)
@@ -147,10 +143,10 @@ def check_general_ds(c: SimplicialComplex) -> Verdict:
     h = f_to_h(c.f_vector())
     d = h.d
     _, chi_top = c.euler_characteristics()
-    defect = (1 + _sgn(d - 1)) - chi_top
+    defect = (1 + _sign(d - 1)) - chi_top
     for k in range(d + 1):
         lhs = h[k] - h[d - k]
-        rhs = _sgn(k) * comb(d, k) * defect
+        rhs = _sign(k) * comb(d, k) * defect
         if lhs != rhs:
             return Verdict(False, f"k={k}: h_{k}-h_{d - k}={lhs}, want {rhs}")
     return Verdict(True)
@@ -168,13 +164,13 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     d = c.dimension() + 1
     table = _fine_coefficients(c)
     failing = [sigma for sigma in c.face_mask_set
-               if sigma and table.get(sigma, 0) != _sgn(d - sigma.bit_count())]
+               if sigma and table.get(sigma, 0) != _sign(d - sigma.bit_count())]
     if not failing:
         return Verdict(True)
     size = min(m.bit_count() for m in failing)
     sigma = min((m for m in failing if m.bit_count() == size), key=c._labels_of_mask)
     lab = " ".join(c._labels_of_mask(sigma))
-    want = 1 + _sgn(d + size - 1)
+    want = 1 + _sign(d + size - 1)
     return Verdict(False, f"face {{{lab}}}: link chi_top={1 - table.get(sigma, 0)}, want {want}")
 
 
@@ -182,7 +178,7 @@ def _sphere_from(c: SimplicialComplex, eul: Verdict) -> Verdict:
     if not eul.ok:
         return eul
     _, chi_top = c.euler_characteristics()
-    want = 1 + _sgn(c.dimension())
+    want = 1 + _sign(c.dimension())
     if chi_top != want:
         return Verdict(False, f"chi_top={chi_top}, want {want} for a sphere")
     return Verdict(True)
@@ -210,8 +206,8 @@ def check_link_identity(c: SimplicialComplex) -> LinkIdentityResult:
             return LinkIdentityResult(True, False, f"link of vertex {lab!r} lacks Property E; nothing to check")
     f = c.f_vector()
     e = f_to_e(f)
-    lhs = e_polynomial(e) + _sgn(d + 1) * f_polynomial(f).compose_linear(-1, 0)
-    rhs = IntPolynomial((e[0] + _sgn(d + 1),))
+    lhs = e_polynomial(e) + _sign(d + 1) * f_polynomial(f).compose_linear(-1, 0)
+    rhs = IntPolynomial((e[0] + _sign(d + 1),))
     if lhs == rhs:
         return LinkIdentityResult(True, True)
     return LinkIdentityResult(False, True, f"identity fails: got {lhs}, want {rhs}")

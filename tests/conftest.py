@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from scx import enumerate_all_complexes, random_complex
+
+# property tests draw the same examples on every run and leave no database behind
+settings.register_profile("scx", derandomize=True, database=None, deadline=None)
+settings.load_profile("scx")
 
 
 @pytest.fixture(scope="session")

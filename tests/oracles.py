@@ -181,3 +181,14 @@ def fine_terms_by_submask_walk(c):
     out = [(c._labels_of_mask(m), x) for m, x in terms.items() if x]
     out.sort(key=lambda item: (len(item[0]), item[0]))
     return out
+
+
+def maximal_masks_by_pairs(masks):
+    """The inclusion-maximal members of a family of bitmasks, sorted.
+
+    Duplicates count once; a mask drops when another distinct mask contains
+    it, found by testing every pair. O(m^2) on purpose.
+    """
+    masks = set(masks)
+    return tuple(sorted(
+        m for m in masks if not any(m != o and m & o == m for o in masks)))

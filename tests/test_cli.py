@@ -108,6 +108,49 @@ def test_series_defaults_omit_optional_keys(ex3_file):
     assert set(payload) == {"e"}
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 does not allow."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+PATH_TEXT = "facet a b\nfacet b c\n"
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "1e999"])
+def test_series_eval_rejects_non_finite_t(t):
+    code, out, err = cli(["series", "-", f"--eval={t}"], stdin_text=PATH_TEXT)
+    assert (code, out) == (2, "") and err.startswith("scx: usage error: ")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["--eval", "1000"], "inf"),
+    (["--eval", "1000", "--fine"], "inf"),
+    (["--eval", "-1000"], 0.0),
+])
+def test_series_eval_overflow_is_the_string_inf(argv, value):
+    code, out, err = cli(["series", "-"] + argv, stdin_text=PATH_TEXT)
+    assert code == 0 and err == ""
+    assert strict_json(out)["eval"] == {"t": float(argv[1]), "value": value}
+
+
+def test_series_eval_overflow_pretty():
+    code, out, _ = cli(["series", "-", "--eval", "1000", "--pretty"], stdin_text=PATH_TEXT)
+    assert code == 0 and out.endswith("value at t=1000.0: inf\n")
+
+
+def test_series_eval_json_in_a_subprocess():
+    for t, code in (("1000", 0), ("0.5", 0), ("nan", 2), ("inf", 2)):
+        proc = scx_subprocess(["series", "-", f"--eval={t}"], PATH_TEXT.encode())
+        assert proc.returncode == code, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        if code == 0:
+            assert strict_json(proc.stdout)["eval"]["t"] == float(t)
+        else:
+            assert proc.stdout == b"" and proc.stderr.startswith(b"scx: usage error: ")
+
+
 # -- check ---------------------------------------------------------------------------------
 
 def test_check_reports_witness(tmp_path):
@@ -231,15 +274,19 @@ def test_non_utf8_input_exits_one(tmp_path, verb):
     assert out.getvalue() == "" and err.getvalue().startswith("scx: FacetFormatError: ")
 
 
-def test_non_utf8_input_exits_one_in_a_subprocess(tmp_path):
-    path = tmp_path / "bad.scx"
-    path.write_bytes(NOT_UTF8)
+def scx_subprocess(argv, data=b""):
+    """Run the scx entry point in a fresh interpreter with the given stdin bytes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     entry = [sys.executable, "-c", "import sys; from scx.cli import main; sys.exit(main())"]
+    return subprocess.run(entry + argv, input=data, env=env, capture_output=True, timeout=60)
+
+
+def test_non_utf8_input_exits_one_in_a_subprocess(tmp_path):
+    path = tmp_path / "bad.scx"
+    path.write_bytes(NOT_UTF8)
     for argv, data in (([str(path)], b""), (["-"], NOT_UTF8)):
-        proc = subprocess.run(entry + ["check"] + argv, input=data, env=env,
-                              capture_output=True, timeout=60)
+        proc = scx_subprocess(["check"] + argv, data)
         assert proc.returncode == 1, proc.stderr
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.startswith(b"scx: FacetFormatError: ")
