@@ -51,6 +51,13 @@ __all__ = [
 ]
 
 
+# The most faces face_mask_set may build, checked against the cheap upper bound
+# sum over facets of 2^|F| before any face is built. On 64-bit CPython 3.11 a
+# face costs about 96 bytes in the finished set (128 while it is built), so a
+# full budget holds about 0.4 GB.
+FACE_BUDGET = 1 << 22
+
+
 def bit_indices(mask: int) -> Iterator[int]:
     """Indices of the set bits, ascending."""
     while mask:
@@ -118,9 +125,17 @@ class SimplicialComplex:
 
     @cached_property
     def face_mask_set(self) -> frozenset[int]:
-        """Every face as a bitmask, the empty face included (empty for void)."""
+        """Every face as a bitmask, the empty face included (empty for void).
+
+        Raises TooLarge, before building anything, when the facets could
+        hold more than FACE_BUDGET faces.
+        """
         if self.is_void:
             return frozenset()
+        bound = sum(1 << m.bit_count() for m in self.facet_masks)
+        if bound > FACE_BUDGET:
+            raise TooLarge(f"the facets bound the face count by {bound}, "
+                           f"over the face budget of {FACE_BUDGET}")
         faces: set[int] = set()
         for facet in self.facet_masks:
             sub = facet

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, bit_indices
-from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter, VoidComplex
+from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter
 from .vectors import EVector
 
 __all__ = [
@@ -46,14 +47,17 @@ class FineEPolynomial:
     nonzero coefficient, and absent keys mean zero. The constant term
     c_empty equals e_0, and the superset sums recover face membership:
     sum of c_tau over tau containing rho is 1 when rho is a face, else 0.
-    Immutable once built; construct through :func:`fine_e_polynomial`.
+    The first superset-sum query builds a table of them in O(n * #faces)
+    steps, once; every query after that is one O(1) lookup. Immutable once
+    built; construct through :func:`fine_e_polynomial`, which passes the
+    complex's label index.
     """
 
-    def __init__(self, labels: tuple[str, ...], d: int, terms: dict[int, int]):
+    def __init__(self, labels: tuple[str, ...], d: int, terms: dict[int, int], index: dict[str, int]):
         self.labels = labels
         self.d = d
         self._terms = terms
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._index = index
 
     @property
     def n(self) -> int:
@@ -74,11 +78,24 @@ class FineEPolynomial:
         return self._terms.get(self._mask(subset), 0)
 
     def superset_sum(self, subset: Iterable = ()) -> int:
-        """Sum of coefficients over every superset of the given subset."""
-        return self._superset_sum_mask(self._mask(subset))
+        """Sum of coefficients over every superset of the given subset.
 
-    def _superset_sum_mask(self, mask: int) -> int:
-        return sum(c for m, c in self._terms.items() if m & mask == mask)
+        The first call builds the superset-sum table in O(n * #faces) steps;
+        every call after that is O(1).
+        """
+        return self._superset_sums.get(self._mask(subset), 0)
+
+    @cached_property
+    def _superset_sums(self) -> dict[int, int]:
+        # the zeta transform run upwards from the terms: the pass for vertex v
+        # adds h(m) into h(m minus v) for each key m holding v; keys absent
+        # from the copy start at 0, and masks below no term stay absent (sum 0)
+        h = dict(self._terms)
+        for v in range(self.n):
+            bit = 1 << v
+            for m, x in [(m, x) for m, x in h.items() if m & bit]:
+                h[m ^ bit] = h.get(m ^ bit, 0) + x
+        return h
 
     def sorted_terms(self) -> list[tuple[tuple[str, ...], int]]:
         """Nonzero terms as (label tuple, coefficient), smallest subsets first."""
@@ -91,17 +108,12 @@ class FineEPolynomial:
         return f"FineEPolynomial(n={self.n}, d={self.d}, terms={len(self._terms)})"
 
 
-def _require_nonvoid(c: SimplicialComplex) -> None:
-    if c.is_void:
-        raise VoidComplex("the void complex has no face ring data")
-
-
 def minimal_nonfaces(c: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
     """Inclusion-minimal non-faces: supports of the ideal's squarefree generators.
 
     A subset of the vertices is a face exactly when it contains none of these.
     """
-    _require_nonvoid(c)
+    c._require_faces()
     out = [tuple(c.labels[i] for i in bit_indices(m)) for m in c._minimal_nonface_masks]
     out.sort(key=lambda t: (len(t), t))
     return tuple(out)
@@ -111,11 +123,14 @@ def _support_mask(n: int, a: Sequence[int]) -> int:
     if len(a) != n:
         raise DimensionMismatch(f"multidegree length {len(a)} != vertex count {n}")
     mask = 0
-    for i, ai in enumerate(a):
-        if not isinstance(ai, int) or ai < 0:
+    bit = 1
+    for ai in a:
+        # exact ints skip the isinstance call; bool and other int subclasses take it
+        if ai.__class__ is not int and not isinstance(ai, int) or ai < 0:
             raise InvalidParameter(f"multidegree entries must be nonnegative integers, got {ai!r}")
         if ai:
-            mask |= 1 << i
+            mask |= bit
+        bit <<= 1
     return mask
 
 
@@ -126,10 +141,14 @@ def graded_dimension(c: SimplicialComplex, a: Sequence[int]) -> int:
     divisibility by the minimal non-face monomials; disagreement would be a
     bug and raises InternalInconsistency.
     """
-    _require_nonvoid(c)
+    c._require_faces()
     support = _support_mask(c.n, a)
     by_support = support in c.face_mask_set
-    by_divisibility = all(nf & support != nf for nf in c._minimal_nonface_masks)
+    by_divisibility = True
+    for nf in c._minimal_nonface_masks:
+        if nf & support == nf:
+            by_divisibility = False
+            break
     if by_support != by_divisibility:
         raise InternalInconsistency(
             f"support test says {by_support} but divisibility says {by_divisibility} for {tuple(a)}")
@@ -160,8 +179,8 @@ def fine_e_polynomial(c: SimplicialComplex) -> FineEPolynomial:
     sum over faces sigma containing tau of (-1)^(|sigma| - |tau|), found in
     O(n * #faces) steps. On a face it is 1 - chi_top(link of tau).
     """
-    _require_nonvoid(c)
-    return FineEPolynomial(c.labels, c.dimension() + 1, _fine_coefficients(c))
+    c._require_faces()
+    return FineEPolynomial(c.labels, c.dimension() + 1, _fine_coefficients(c), c._index)
 
 
 def coarse_from_fine(p: FineEPolynomial) -> EVector:
@@ -178,8 +197,10 @@ def taylor_coefficient(p: FineEPolynomial, a: Sequence[int]) -> int:
     Each exponential monomial contributes that coefficient exactly when its
     subset contains the support of a, so this is the superset sum over
     supp(a); it must always equal :func:`graded_dimension` for the same a.
+    The first query on p builds its superset-sum table in O(n * #faces)
+    steps; each query after that is O(1).
     """
-    return p._superset_sum_mask(_support_mask(p.n, a))
+    return p._superset_sums.get(_support_mask(p.n, a), 0)
 
 
 def free_module_series_eval(a: Sequence[int], x: Sequence[float]) -> float:

@@ -19,7 +19,7 @@ from math import comb
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex, bit_indices
-from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter, VoidComplex
+from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter
 from .hilbert import _fine_coefficients, evaluate_coarse, evaluate_e_poly_exact
 from .vectors import IntPolynomial, _sign, e_polynomial, f_polynomial, f_to_e, f_to_h
 
@@ -96,11 +96,6 @@ class PropertyReport:
         }
 
 
-def _require_nonvoid(c: SimplicialComplex) -> None:
-    if c.is_void:
-        raise VoidComplex("no properties are defined for the void complex")
-
-
 def _property_e_from(c: SimplicialComplex, first_k: int) -> Verdict:
     f = c.f_vector()
     e = f_to_e(f)
@@ -114,19 +109,19 @@ def _property_e_from(c: SimplicialComplex, first_k: int) -> Verdict:
 
 def check_property_e(c: SimplicialComplex) -> Verdict:
     """Does e_k == (-1)^(d-k) f_{k-1} hold for every 0 <= k <= d?"""
-    _require_nonvoid(c)
+    c._require_faces()
     return _property_e_from(c, 0)
 
 
 def check_weak_property_e(c: SimplicialComplex) -> Verdict:
     """The same equalities restricted to 1 <= k <= d."""
-    _require_nonvoid(c)
+    c._require_faces()
     return _property_e_from(c, 1)
 
 
 def check_classical_ds(c: SimplicialComplex) -> Verdict:
     """Classical Dehn-Sommerville: the h-vector is symmetric, h_k == h_{d-k}."""
-    _require_nonvoid(c)
+    c._require_faces()
     h = f_to_h(c.f_vector())
     d = h.d
     for k in range(d + 1):
@@ -139,7 +134,7 @@ def check_general_ds(c: SimplicialComplex) -> Verdict:
     """General Dehn-Sommerville: h_k - h_{d-k} == (-1)^k C(d,k) * defect for all k,
     where the defect is the (d-1)-sphere Euler characteristic 1 + (-1)^(d-1)
     minus the complex's own chi_top."""
-    _require_nonvoid(c)
+    c._require_faces()
     h = f_to_h(c.f_vector())
     d = h.d
     _, chi_top = c.euler_characteristics()
@@ -158,7 +153,7 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     1 + (-1)^(d + dim sigma), i.e. the fine coefficient c_sigma, which is
     1 - chi_top(link of sigma), must be (-1)^(d - |sigma|). The witness names
     the first failing face in (size, labels) order."""
-    _require_nonvoid(c)
+    c._require_faces()
     if not c.is_pure():
         return Verdict(False, "not pure")
     d = c.dimension() + 1
@@ -197,7 +192,7 @@ def check_link_identity(c: SimplicialComplex) -> LinkIdentityResult:
     of the identity while the hypothesis holds returns False and would point
     at a bug (or a counterexample, which does not exist).
     """
-    _require_nonvoid(c)
+    c._require_faces()
     d = c.dimension() + 1
     if d < 1:
         raise InvalidParameter("the identity needs at least one vertex")
@@ -241,7 +236,7 @@ def check_half_evaluation(c: SimplicialComplex) -> HalfEvaluation:
     exact value to vanish and -ln 2 to be a numeric root of the coarse
     exponential series. Non-Eulerian input yields (None, None).
     """
-    _require_nonvoid(c)
+    c._require_faces()
     if not is_eulerian(c).ok:
         return HalfEvaluation(None, None)
     e = f_to_e(c.f_vector())
@@ -259,7 +254,7 @@ def classify(c: SimplicialComplex) -> PropertyReport:
     computed independently; a mismatch between the two raises
     InternalInconsistency instead of returning. The Eulerian test runs once
     and its verdict feeds the sphere test."""
-    _require_nonvoid(c)
+    c._require_faces()
     pe = check_property_e(c)
     weak = check_weak_property_e(c)
     cds = check_classical_ds(c)
@@ -282,7 +277,7 @@ def classify(c: SimplicialComplex) -> PropertyReport:
 
 def is_connected(c: SimplicialComplex) -> bool:
     """Graph connectivity of the 1-skeleton (union-find over the edges)."""
-    _require_nonvoid(c)
+    c._require_faces()
     n = c.n
     if n <= 1:
         return True

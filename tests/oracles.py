@@ -192,3 +192,9 @@ def maximal_masks_by_pairs(masks):
     masks = set(masks)
     return tuple(sorted(
         m for m in masks if not any(m != o and m & o == m for o in masks)))
+
+
+def superset_sum_by_term_scan(p, mask):
+    """Sum of the fine coefficients over every term whose subset contains
+    mask, scanning all the terms. O(#terms) per query on purpose."""
+    return sum(coeff for m, coeff in p._terms.items() if m & mask == mask)

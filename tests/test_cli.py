@@ -292,6 +292,22 @@ def test_non_utf8_input_exits_one_in_a_subprocess(tmp_path):
         assert proc.stderr.startswith(b"scx: FacetFormatError: ")
 
 
+def test_info_refuses_a_complex_over_the_face_budget():
+    text = cli(["make", "full-simplex", "30"])[1]
+    code, out, err = cli(["info", "-"], stdin_text=text)
+    assert (code, out) == (1, "") and err.startswith("scx: TooLarge: ")
+    proc = scx_subprocess(["info", "-"], text.encode())
+    assert proc.returncode == 1, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b"" and proc.stderr.startswith(b"scx: TooLarge: ")
+
+
+def test_void_input_exits_one_with_the_shared_guard():
+    for argv in (["check", "-"], ["oracle", "-"], ["series", "--fine", "-"]):
+        assert cli(argv, stdin_text="# no facets\n") == (
+            1, "", "scx: VoidComplex: the void complex has no faces\n")
+
+
 def test_output_is_deterministic(ex3_file):
     assert cli(["check", ex3_file]) == cli(["check", ex3_file])
     assert cli(["series", ex3_file, "--fine"]) == cli(["series", ex3_file, "--fine"])

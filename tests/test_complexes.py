@@ -211,6 +211,23 @@ def test_full_simplex_faces():
     assert c.dimension() == 3
 
 
+def test_face_budget_refuses_before_enumerating(monkeypatch):
+    import scx.complexes as complexes
+
+    # 2^31 possible faces: refused by the bound, without building any face
+    big = full_simplex(30)
+    for query in (lambda: big.face_mask_set, big.f_vector, big.faces,
+                  lambda: big.has_face(["1"]), lambda: big.link(["1"])):
+        with pytest.raises(TooLarge, match=f"2147483648, over the face budget of {complexes.FACE_BUDGET}"):
+            query()
+    assert big.dimension() == 30 and big.is_pure()
+    # the guard compares sum over facets of 2^|F| with the budget: equal passes
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 12)
+    assert len(from_facets([[1, 2, 3], [3, 4]]).face_mask_set) == 10
+    with pytest.raises(TooLarge, match="by 14, over the face budget of 12"):
+        from_facets([[1, 2, 3], [3, 4], [5]]).f_vector()
+
+
 def test_cross_polytope_matches_iterated_join():
     for d in range(1, 5):
         direct = cross_polytope(d)

@@ -1,13 +1,18 @@
-"""The fine coefficient table and the Eulerian checks read off it, against the
-brute-force link sums and subset walks of oracles.py."""
+"""The fine coefficient table, the Eulerian checks read off it and the lazy
+superset-sum table behind taylor_coefficient, against the brute-force link
+sums, subset walks and term scans of oracles.py."""
 
+import io
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scx import (
+    bit_indices,
     boundary_simplex,
     classify,
+    coarse_from_fine,
     cross_polytope,
     fine_e_polynomial,
     from_facets,
@@ -15,9 +20,17 @@ from scx import (
     is_eulerian,
     is_eulerian_sphere,
     random_complex,
+    taylor_coefficient,
     whiskered_cycle,
 )
-from oracles import eulerian_by_link_sums, eulerian_sphere_by_link_sums, fine_terms_by_submask_walk
+from scx.cli import run
+from scx.hilbert import FineEPolynomial
+from oracles import (
+    eulerian_by_link_sums,
+    eulerian_sphere_by_link_sums,
+    fine_terms_by_submask_walk,
+    superset_sum_by_term_scan,
+)
 
 
 def _families():
@@ -30,12 +43,12 @@ def _families():
     return out
 
 
-def _random():
+def _random(seeds=range(40), max_n=10):
     # facets of one size give pure complexes; random_complex mixes sizes
     out = []
-    for seed in range(40):
+    for seed in seeds:
         rng = random.Random(seed)
-        n = rng.randint(4, 10)
+        n = rng.randint(4, max_n)
         size = rng.randint(1, min(n, 5))
         out.append(from_facets([rng.sample(range(1, n + 1), size)
                                 for _ in range(rng.randint(1, 12))]))
@@ -91,3 +104,68 @@ def test_classify_runs_the_eulerian_test_once(monkeypatch):
         assert len(calls) == 1
         assert (report.eulerian, report.eulerian_sphere) == (
             eulerian_by_link_sums(c)[0], eulerian_sphere_by_link_sums(c)[0])
+
+
+# -- the superset-sum table ----------------------------------------------------
+
+def _assert_table_matches_scan(p, masks):
+    for mask in masks:
+        want = superset_sum_by_term_scan(p, mask)
+        assert p.superset_sum([p.labels[i] for i in bit_indices(mask)]) == want, (p, mask)
+        assert taylor_coefficient(p, tuple(mask >> i & 1 for i in range(p.n))) == want, (p, mask)
+
+
+def test_every_subset_of_corpus4(corpus4):
+    for c in corpus4:
+        _assert_table_matches_scan(fine_e_polynomial(c), range(1 << c.n))
+
+
+def test_zero_one_degrees_of_families_and_random_complexes():
+    sample = _families() + _random(range(40, 70), max_n=12)
+    assert max(c.n for c in sample) == 12
+    for c in sample:
+        _assert_table_matches_scan(fine_e_polynomial(c), range(1 << c.n))
+
+
+def test_the_table_transforms_any_coefficients():
+    # not only the tables of complexes: arbitrary masks and coefficients, zeros included
+    rng = random.Random(0)
+    for n in range(1, 9):
+        labels = tuple(str(i) for i in range(n))
+        for _ in range(10):
+            terms = {rng.randrange(1 << n): rng.randint(-3, 3) for _ in range(rng.randint(0, 12))}
+            p = FineEPolynomial(labels, n, terms, {lab: i for i, lab in enumerate(labels)})
+            _assert_table_matches_scan(p, range(1 << n))
+
+
+@given(st.lists(st.lists(st.integers(1, 8), max_size=5), min_size=1, max_size=8),
+       st.lists(st.integers(0, 3), min_size=8, max_size=8))
+def test_taylor_coefficient_equals_the_term_scan(facets, degree):
+    p = fine_e_polynomial(from_facets([set(f) for f in facets]))
+    a = tuple(degree[:p.n])
+    support = sum(1 << i for i, ai in enumerate(a) if ai)
+    assert taylor_coefficient(p, a) == superset_sum_by_term_scan(p, support)
+
+
+def test_fine_e_polynomial_leaves_the_table_unbuilt():
+    c = cross_polytope(3)
+    p = fine_e_polynomial(c)
+    coarse_from_fine(p)
+    p.sorted_terms()
+    p.coefficient(["1+"])
+    assert "_superset_sums" not in vars(p)
+    assert taylor_coefficient(p, (1,) + (0,) * (c.n - 1)) == 1
+    assert "_superset_sums" in vars(p)
+
+
+def test_classify_and_the_cli_never_build_the_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the superset-sum table was built")
+
+    monkeypatch.setattr(FineEPolynomial, "_superset_sums", property(refuse))
+    classify(cross_polytope(4))
+    text = "facet 1 2 3\nfacet 2 4\nfacet 3 4\n"
+    for argv in (["series", "--fine", "-"], ["check", "-"], ["info", "-"]):
+        assert run(argv, stdin=io.StringIO(text), stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    with pytest.raises(AssertionError, match="table was built"):
+        taylor_coefficient(fine_e_polynomial(cross_polytope(1)), (0, 0))

@@ -91,6 +91,43 @@ def test_graded_dimension_examples():
         graded_dimension(from_facets([]), ())
 
 
+BAD_ENTRIES = [-1, 1.5, "1", None]
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES, ids=repr)
+def test_multidegree_entries_must_be_nonnegative_integers(bad):
+    c = from_facets(EX3)
+    p = fine_e_polynomial(c)
+    a = (1, 0, bad, 0)
+    for query in (lambda: graded_dimension(c, a), lambda: taylor_coefficient(p, a)):
+        with pytest.raises(InvalidParameter) as info:
+            query()
+        assert str(info.value) == f"multidegree entries must be nonnegative integers, got {bad!r}"
+
+
+def test_multidegree_length_must_match_the_vertex_count():
+    c = from_facets(EX3)
+    p = fine_e_polynomial(c)
+    for a in ((), (1, 0, 0), (1, 0, 0, 0, 0)):
+        for query in (lambda: graded_dimension(c, a), lambda: taylor_coefficient(p, a)):
+            with pytest.raises(DimensionMismatch) as info:
+                query()
+            assert str(info.value) == f"multidegree length {len(a)} != vertex count 4"
+
+
+def test_multidegree_entries_may_be_bools():
+    # bool is an int subclass, so True counts as 1 and False as 0
+    c = from_facets(EX3)
+    p = fine_e_polynomial(c)
+    for a in product((False, True), repeat=4):
+        ints = tuple(int(x) for x in a)
+        assert graded_dimension(c, a) == graded_dimension(c, ints)
+        assert taylor_coefficient(p, a) == taylor_coefficient(p, ints)
+    assert graded_dimension(c, (True, False, False, True)) == 0
+    assert taylor_coefficient(p, (False, True, True, True)) == 0
+    assert taylor_coefficient(p, (True, True, True, False)) == 1
+
+
 # -- fine polynomial ----------------------------------------------------------------
 
 def test_fine_coefficients_worked_example():
