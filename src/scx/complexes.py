@@ -13,7 +13,10 @@ is the empty face is perfectly ordinary, with dimension -1 and face count
 vector ``(1,)``.
 
 All values are immutable after construction and every operation is a pure
-function, so concurrent use needs no coordination.
+function, so concurrent use needs no coordination. A complex builds its
+derived tables (the face set, the minimal non-faces and the fine coefficient
+table that the Eulerian checks and the fine series share) on first use and
+keeps them for its lifetime; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ __all__ = [
 # The most faces face_mask_set may build, checked against the cheap upper bound
 # sum over facets of 2^|F| before any face is built. On 64-bit CPython 3.11 a
 # face costs about 96 bytes in the finished set (128 while it is built), so a
-# full budget holds about 0.4 GB.
+# full budget holds about 0.4 GB. The generators hold the vertex entries of
+# the facet lists they build to the same number.
 FACE_BUDGET = 1 << 22
 
 
@@ -154,6 +158,23 @@ class SimplicialComplex:
         candidates = {face | (1 << v) for face in faces for v in range(self.n)} - faces
         return tuple(sorted(m for m in candidates
                             if all(m ^ (1 << v) in faces for v in bit_indices(m))))
+
+    @cached_property
+    def _fine_terms(self) -> dict[int, int]:
+        """Nonzero fine coefficients by face mask, via a superset-sum (zeta) transform.
+
+        g starts as (-1)^|sigma| on the faces; the pass for vertex v adds g(m) into
+        g(m minus v) for each face m holding v, leaving g(tau) = (-1)^|tau| c_tau.
+        A pass reads only faces holding v and writes only faces without it, so it
+        may update values while it iterates.
+        """
+        g = {m: -1 if m.bit_count() % 2 else 1 for m in self.face_mask_set}
+        for v in range(self.n):
+            bit = 1 << v
+            for m, x in g.items():
+                if m & bit:
+                    g[m ^ bit] += x
+        return {m: -x if m.bit_count() % 2 else x for m, x in g.items() if x}
 
     def faces(self) -> list[tuple[str, ...]]:
         """All faces as label tuples, ordered by size then labels."""
@@ -351,10 +372,19 @@ def parse_facet_text(text: str) -> SimplicialComplex:
 # -- generators ----------------------------------------------------------------
 
 
+def _check_listing(what: str, entries: int) -> None:
+    """Raise TooLarge when a generator's facets would hold more than FACE_BUDGET
+    vertex entries, before any facet is built."""
+    if entries > FACE_BUDGET:
+        raise TooLarge(f"{what} would list more than {FACE_BUDGET} vertex entries, "
+                       f"the face budget")
+
+
 def boundary_simplex(d: int) -> SimplicialComplex:
     """Boundary of the d-simplex: all proper subsets of a (d+1)-point set."""
     if d < 1:
         raise InvalidParameter("boundary_simplex needs d >= 1")
+    _check_listing(f"boundary_simplex({d})", d * (d + 1))
     verts = [str(i) for i in range(1, d + 2)]
     return from_facets(combinations(verts, d))
 
@@ -363,6 +393,7 @@ def full_simplex(d: int) -> SimplicialComplex:
     """The full d-simplex: one facet on d+1 vertices."""
     if d < 1:
         raise InvalidParameter("full_simplex needs d >= 1")
+    _check_listing(f"full_simplex({d})", d + 1)
     return from_facets([[str(i) for i in range(1, d + 2)]])
 
 
@@ -370,6 +401,7 @@ def cycle(n: int) -> SimplicialComplex:
     """The n-gon graph: vertices 1..n, edges between cyclic neighbors."""
     if n < 3:
         raise InvalidParameter("cycle needs n >= 3")
+    _check_listing(f"cycle({n})", 2 * n)
     return from_facets([[str(i), str(i % n + 1)] for i in range(1, n + 1)])
 
 
@@ -382,6 +414,9 @@ def cross_polytope(d: int) -> SimplicialComplex:
     """
     if d < 1:
         raise InvalidParameter("cross_polytope needs d >= 1")
+    # d * 2^d entries; past the budget's bit length the capped shift is over it
+    # anyway, and a huge d never builds a huge integer
+    _check_listing(f"cross_polytope({d})", d << min(d, FACE_BUDGET.bit_length()))
     pairs = [(f"{i}+", f"{i}-") for i in range(1, d + 1)]
     return from_facets(product(*pairs))
 
@@ -396,6 +431,7 @@ def whiskered_cycle(n: int, k: int) -> SimplicialComplex:
         raise InvalidParameter("whiskered_cycle needs n >= 3")
     if k < 0:
         raise InvalidParameter("whiskered_cycle needs k >= 0")
+    _check_listing(f"whiskered_cycle({n}, {k})", 2 * (n + k))
     edges = [[str(i), str(i % n + 1)] for i in range(1, n + 1)]
     edges.extend(["1", str(n + j)] for j in range(1, k + 1))
     return from_facets(edges)
@@ -464,8 +500,9 @@ def random_complex(seed: int, n: int, facet_count: int, max_facet_size: int) -> 
     """
     if n < 1 or facet_count < 1 or max_facet_size < 1:
         raise InvalidParameter("n, facet_count and max_facet_size must all be >= 1")
-    rng = _random.Random(seed)
     cap = min(max_facet_size, n)
+    _check_listing(f"random_complex({seed}, {n}, {facet_count}, {max_facet_size})", facet_count * cap)
+    rng = _random.Random(seed)
     facets = []
     for _ in range(facet_count):
         size = rng.randint(1, cap)

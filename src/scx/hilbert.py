@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, bit_indices
 from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter
-from .vectors import EVector
+from .vectors import EVector, _as_e
 
 __all__ = [
     "FineEPolynomial",
@@ -50,7 +50,7 @@ class FineEPolynomial:
     The first superset-sum query builds a table of them in O(n * #faces)
     steps, once; every query after that is one O(1) lookup. Immutable once
     built; construct through :func:`fine_e_polynomial`, which passes the
-    complex's label index.
+    complex's label index and its fine table, shared rather than copied.
     """
 
     def __init__(self, labels: tuple[str, ...], d: int, terms: dict[int, int], index: dict[str, int]):
@@ -155,32 +155,17 @@ def graded_dimension(c: SimplicialComplex, a: Sequence[int]) -> int:
     return 1 if by_support else 0
 
 
-def _fine_coefficients(c: SimplicialComplex) -> dict[int, int]:
-    """Nonzero fine coefficients by face mask, via a superset-sum (zeta) transform.
-
-    g starts as (-1)^|sigma| on the faces; the pass for vertex v adds g(m) into
-    g(m minus v) for each face m holding v, leaving g(tau) = (-1)^|tau| c_tau.
-    A pass reads only faces holding v and writes only faces without it, so it
-    may update values while it iterates.
-    """
-    g = {m: -1 if m.bit_count() % 2 else 1 for m in c.face_mask_set}
-    for v in range(c.n):
-        bit = 1 << v
-        for m, x in g.items():
-            if m & bit:
-                g[m ^ bit] += x
-    return {m: -x if m.bit_count() % 2 else x for m, x in g.items() if x}
-
-
 def fine_e_polynomial(c: SimplicialComplex) -> FineEPolynomial:
     """Expand sum over faces of prod (exp(x_i) - 1) into subset coefficients.
 
     The coefficient of subset tau is the signed count of faces above it:
     sum over faces sigma containing tau of (-1)^(|sigma| - |tau|), found in
-    O(n * #faces) steps. On a face it is 1 - chi_top(link of tau).
+    O(n * #faces) steps. On a face it is 1 - chi_top(link of tau). The
+    polynomial shares the complex's fine table, which the complex builds on
+    first use (or already built for is_eulerian) and keeps for its lifetime.
     """
     c._require_faces()
-    return FineEPolynomial(c.labels, c.dimension() + 1, _fine_coefficients(c), c._index)
+    return FineEPolynomial(c.labels, c.dimension() + 1, c._fine_terms, c._index)
 
 
 def coarse_from_fine(p: FineEPolynomial) -> EVector:
@@ -224,13 +209,9 @@ def free_module_series_eval(a: Sequence[int], x: Sequence[float]) -> float:
     return value
 
 
-def _as_evector(e) -> EVector:
-    return e if isinstance(e, EVector) else EVector(tuple(e))
-
-
 def evaluate_coarse(e, t: float) -> float:
     """Numeric value of the coarse exponential series sum_k e_k exp(k t)."""
-    e = _as_evector(e)
+    e = _as_e(e)
     total = 0.0
     for k, ek in enumerate(e):
         try:
@@ -242,7 +223,7 @@ def evaluate_coarse(e, t: float) -> float:
 
 def evaluate_e_poly_exact(e, q) -> Fraction:
     """Exact rational value of the e-polynomial sum_k e_k q^k."""
-    e = _as_evector(e)
+    e = _as_e(e)
     q = Fraction(q)
     acc = Fraction(0)
     for ek in reversed(tuple(e)):

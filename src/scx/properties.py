@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .complexes import SimplicialComplex, bit_indices
 from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter
-from .hilbert import _fine_coefficients, evaluate_coarse, evaluate_e_poly_exact
+from .hilbert import evaluate_coarse, evaluate_e_poly_exact
 from .vectors import IntPolynomial, _sign, e_polynomial, f_polynomial, f_to_e, f_to_h
 
 __all__ = [
@@ -151,13 +151,15 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     """Pure, and every nonempty face's link has the Euler characteristic of a
     sphere of the complementary dimension: chi_top(link of sigma) must equal
     1 + (-1)^(d + dim sigma), i.e. the fine coefficient c_sigma, which is
-    1 - chi_top(link of sigma), must be (-1)^(d - |sigma|). The witness names
-    the first failing face in (size, labels) order."""
+    1 - chi_top(link of sigma), must be (-1)^(d - |sigma|). The coefficients
+    come from the complex's fine table, built on first use and shared with
+    fine_e_polynomial. The witness names the first failing face in (size,
+    labels) order."""
     c._require_faces()
     if not c.is_pure():
         return Verdict(False, "not pure")
     d = c.dimension() + 1
-    table = _fine_coefficients(c)
+    table = c._fine_terms
     failing = [sigma for sigma in c.face_mask_set
                if sigma and table.get(sigma, 0) != _sign(d - sigma.bit_count())]
     if not failing:

@@ -302,6 +302,19 @@ def test_info_refuses_a_complex_over_the_face_budget():
     assert proc.stdout == b"" and proc.stderr.startswith(b"scx: TooLarge: ")
 
 
+def test_make_refuses_a_generator_over_the_face_budget(monkeypatch):
+    import scx.complexes as complexes
+
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 24)
+    assert cli(["make", "cross-polytope", "3"])[0] == 0
+    assert cli(["make", "random", "4", "6", "9"])[0] == 0
+    assert cli(["make", "cross-polytope", "4"]) == (
+        1, "", "scx: TooLarge: cross_polytope(4) would list more than 24 vertex entries, "
+               "the face budget\n")
+    code, out, err = cli(["make", "random", "4", "7", "9", "--seed", "3"])
+    assert (code, out) == (1, "") and err.startswith("scx: TooLarge: random_complex(3, 4, 7, 9) ")
+
+
 def test_void_input_exits_one_with_the_shared_guard():
     for argv in (["check", "-"], ["oracle", "-"], ["series", "--fine", "-"]):
         assert cli(argv, stdin_text="# no facets\n") == (

@@ -228,6 +228,40 @@ def test_face_budget_refuses_before_enumerating(monkeypatch):
         from_facets([[1, 2, 3], [3, 4], [5]]).f_vector()
 
 
+# each generator with the vertex entries its facet list holds, counted by hand
+GENERATOR_ENTRIES = [
+    (boundary_simplex, (4,), 4 * 5),
+    (full_simplex, (4,), 4 + 1),
+    (cycle, (10,), 2 * 10),
+    (cross_polytope, (4,), 4 * 2 ** 4),
+    (whiskered_cycle, (5, 3), 2 * (5 + 3)),
+    (random_complex, (0, 4, 6, 9), 6 * min(9, 4)),
+]
+
+
+@pytest.mark.parametrize("fn, params, entries", GENERATOR_ENTRIES,
+                         ids=[fn.__name__ for fn, _, _ in GENERATOR_ENTRIES])
+def test_generators_build_at_the_face_budget_and_refuse_over_it(monkeypatch, fn, params, entries):
+    import scx.complexes as complexes
+
+    monkeypatch.setattr(complexes, "FACE_BUDGET", entries)
+    assert fn(*params).n > 0
+    monkeypatch.setattr(complexes, "FACE_BUDGET", entries - 1)
+    with pytest.raises(TooLarge, match=f"would list more than {entries - 1} vertex entries"):
+        fn(*params)
+
+
+def test_cross_polytope_refuses_past_the_budget_bit_length(monkeypatch):
+    import scx.complexes as complexes
+
+    # FACE_BUDGET = 7 has bit length 3; d = 4 and 9 compare a capped d * 2^3
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 7)
+    assert cross_polytope(1).n == 2
+    for d in (2, 3, 4, 9):
+        with pytest.raises(TooLarge, match=rf"cross_polytope\({d}\) would list more than 7"):
+            cross_polytope(d)
+
+
 def test_cross_polytope_matches_iterated_join():
     for d in range(1, 5):
         direct = cross_polytope(d)

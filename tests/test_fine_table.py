@@ -106,6 +106,17 @@ def test_classify_runs_the_eulerian_test_once(monkeypatch):
             eulerian_by_link_sums(c)[0], eulerian_sphere_by_link_sums(c)[0])
 
 
+def test_one_table_serves_the_complex_in_either_order():
+    for classify_first in (True, False):
+        c = cross_polytope(3)
+        if classify_first:
+            assert classify(c).eulerian_sphere
+            assert "_fine_terms" in vars(c)
+        p = fine_e_polynomial(c)
+        assert classify(c).eulerian_sphere
+        assert p._terms is c._fine_terms
+
+
 # -- the superset-sum table ----------------------------------------------------
 
 def _assert_table_matches_scan(p, masks):
@@ -156,6 +167,17 @@ def test_fine_e_polynomial_leaves_the_table_unbuilt():
     assert "_superset_sums" not in vars(p)
     assert taylor_coefficient(p, (1,) + (0,) * (c.n - 1)) == 1
     assert "_superset_sums" in vars(p)
+
+
+def test_superset_queries_leave_the_complex_table_unchanged():
+    for c in (cross_polytope(3), whiskered_cycle(4, 1), from_facets([[1, 2, 3], [2, 4], [3, 4]])):
+        p = fine_e_polynomial(c)
+        before = dict(c._fine_terms)
+        _assert_table_matches_scan(p, range(1 << c.n))
+        assert c._fine_terms == before
+        assert p._terms is c._fine_terms
+        v = is_eulerian(c)
+        assert (v.ok, v.witness) == eulerian_by_link_sums(c)
 
 
 def test_classify_and_the_cli_never_build_the_table(monkeypatch):

@@ -14,6 +14,7 @@ from scx import (
     VoidComplex,
     bit_indices,
     boundary_simplex,
+    classify,
     coarse_from_fine,
     cross_polytope,
     cycle,
@@ -71,6 +72,8 @@ def test_minimal_nonfaces_do_not_keep_the_complex_alive():
     ref = weakref.ref(c)
     assert minimal_nonfaces(c) == (("wa", "wd"), ("wb", "wc", "wd"))
     assert graded_dimension(c, (1, 0, 0, 1)) == 0
+    assert not classify(c).eulerian
+    assert taylor_coefficient(fine_e_polynomial(c), (1, 0, 0, 1)) == 0
     del c
     gc.collect()
     assert ref() is None

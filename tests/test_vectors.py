@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from scx import (
     EVector,
@@ -17,6 +18,7 @@ from scx import (
     f_polynomial,
     f_to_e,
     f_to_h,
+    from_facets,
     h_polynomial,
     h_poly_from_f_poly,
     h_to_e,
@@ -152,6 +154,19 @@ def test_round_trips_exhaustive(corpus4):
         f = c.f_vector()
         assert e_to_f(f_to_e(f)) == f
         assert h_to_f(f_to_h(f)) == f
+
+
+# facets of up to 12 vertices give the f-vectors of complexes up to d = 12
+@given(st.lists(st.frozensets(st.integers(1, 14), max_size=12), min_size=1, max_size=6))
+@example([frozenset(range(1, 13))])
+@example([frozenset(range(1, 13)), frozenset(range(3, 15)), frozenset({1, 14})])
+def test_round_trips_of_drawn_f_vectors(facets):
+    f = from_facets(facets).f_vector()
+    assert f.d <= 12
+    assert e_to_f(f_to_e(f)) == f
+    h = f_to_h(f)
+    assert h_to_f(h) == f
+    assert h_to_e(h) == f_to_e(h_to_f(h))
 
 
 def test_euler_identities(corpus4):
