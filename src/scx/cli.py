@@ -287,3 +287,7 @@ def _cmd_oracle(args, stdin) -> str:
     if args.pretty:
         return f"ok: {checked} degrees checked\n"
     return _dump({"ok": True, "checked": checked})
+
+
+if __name__ == "__main__":
+    main()

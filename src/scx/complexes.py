@@ -22,6 +22,7 @@ keeps them for its lifetime; nothing is cached at module level.
 from __future__ import annotations
 
 import random as _random
+from bisect import bisect_left
 from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator
@@ -77,7 +78,7 @@ def _check_label(raw) -> str:
         return str(raw)
     if not raw:
         raise InvalidLabel("empty vertex label")
-    if any(ch.isspace() for ch in raw):
+    if raw.split() != [raw]:
         raise InvalidLabel(f"label {raw!r} contains whitespace")
     return raw
 
@@ -161,20 +162,28 @@ class SimplicialComplex:
 
     @cached_property
     def _fine_terms(self) -> dict[int, int]:
-        """Nonzero fine coefficients by face mask, via a superset-sum (zeta) transform.
+        """Nonzero fine coefficients c_tau by face mask, via a signed superset-sum transform.
 
-        g starts as (-1)^|sigma| on the faces; the pass for vertex v adds g(m) into
-        g(m minus v) for each face m holding v, leaving g(tau) = (-1)^|tau| c_tau.
-        A pass reads only faces holding v and writes only faces without it, so it
-        may update values while it iterates.
+        c starts at 1 on every face; the pass for vertex v subtracts c(m) from
+        c(m minus v) for each face m holding v, leaving c(tau) = sum over faces
+        sigma containing tau of (-1)^(|sigma| - |tau|) with no sign to fix. A
+        pass reads only faces holding v and writes only faces without it, so it
+        may update values while it iterates, and it starts at 2^v in the sorted
+        faces, since no smaller mask holds v. That is O(n * #faces) steps and
+        sum over faces of |sigma| subtractions. The build holds one dict and one
+        sorted list of the faces; zero terms are deleted in place.
         """
-        g = {m: -1 if m.bit_count() % 2 else 1 for m in self.face_mask_set}
+        order = sorted(self.face_mask_set)
+        c = dict.fromkeys(order, 1)
         for v in range(self.n):
             bit = 1 << v
-            for m, x in g.items():
+            for m in order[bisect_left(order, bit):]:
                 if m & bit:
-                    g[m ^ bit] += x
-        return {m: -x if m.bit_count() % 2 else x for m, x in g.items() if x}
+                    c[m ^ bit] -= c[m]
+        for m in [m for m, x in c.items() if not x]:
+            del c[m]
+        # a dict keeps its table after deletions: copy it when most faces dropped
+        return c if 2 * len(c) >= len(order) else dict(c)
 
     def faces(self) -> list[tuple[str, ...]]:
         """All faces as label tuples, ordered by size then labels."""

@@ -160,12 +160,16 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
         return Verdict(False, "not pure")
     d = c.dimension() + 1
     table = c._fine_terms
-    failing = [sigma for sigma in c.face_mask_set
-               if sigma and table.get(sigma, 0) != _sign(d - sigma.bit_count())]
+    size, failing = d + 1, []  # the failing faces of the smallest failing size
+    for sigma in c.face_mask_set:
+        k = sigma.bit_count()
+        if 0 < k <= size and table.get(sigma, 0) != _sign(d - k):
+            if k < size:
+                size, failing = k, []
+            failing.append(sigma)
     if not failing:
         return Verdict(True)
-    size = min(m.bit_count() for m in failing)
-    sigma = min((m for m in failing if m.bit_count() == size), key=c._labels_of_mask)
+    sigma = min(failing, key=c._labels_of_mask)
     lab = " ".join(c._labels_of_mask(sigma))
     want = 1 + _sign(d + size - 1)
     return Verdict(False, f"face {{{lab}}}: link chi_top={1 - table.get(sigma, 0)}, want {want}")
@@ -254,14 +258,21 @@ def check_half_evaluation(c: SimplicialComplex) -> HalfEvaluation:
 def classify(c: SimplicialComplex) -> PropertyReport:
     """Full report over all checks, with the e-side and h-side conditions
     computed independently; a mismatch between the two raises
-    InternalInconsistency instead of returning. The Eulerian test runs once
-    and its verdict feeds the sphere test."""
+    InternalInconsistency instead of returning.
+
+    The Eulerian test runs at most once, and its verdict feeds the sphere
+    test. It runs only when weak Property E holds: an Eulerian complex
+    satisfies the general Dehn-Sommerville equations (Klee, "A combinatorial
+    analogue of Poincaré's duality theorem", 1964), which are weak Property
+    E, so without it the complex is not Eulerian and the fine table is not
+    built. The report is the same either way, since Property E then fails too
+    and its witness comes first."""
     c._require_faces()
     pe = check_property_e(c)
     weak = check_weak_property_e(c)
     cds = check_classical_ds(c)
     gds = check_general_ds(c)
-    eul = is_eulerian(c)
+    eul = is_eulerian(c) if weak.ok else Verdict(False, "no weak Property E, so not Eulerian")
     sphere = _sphere_from(c, eul)
     if weak.ok != gds.ok:
         raise InternalInconsistency(

@@ -274,12 +274,27 @@ def test_non_utf8_input_exits_one(tmp_path, verb):
     assert out.getvalue() == "" and err.getvalue().startswith("scx: FacetFormatError: ")
 
 
-def scx_subprocess(argv, data=b""):
+def scx_subprocess(argv, data=b"", entry=("-c", "import sys; from scx.cli import main; sys.exit(main())")):
     """Run the scx entry point in a fresh interpreter with the given stdin bytes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    entry = [sys.executable, "-c", "import sys; from scx.cli import main; sys.exit(main())"]
-    return subprocess.run(entry + argv, input=data, env=env, capture_output=True, timeout=60)
+    return subprocess.run([sys.executable, *entry, *argv], input=data, env=env,
+                          capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["scx", "scx.cli"])
+def test_python_dash_m_matches_run(module, capsys):
+    # success, a domain error, and usage errors from scx and from argparse
+    cases = ((["make", "cross-polytope", "2"], 0),
+             (["make", "cross-polytope", "0"], 1),
+             (["make", "cross-polytope"], 2),
+             (["make", "cross-polytope", "2", "--seed"], 2))
+    for argv, code in cases:
+        proc = scx_subprocess(argv, entry=("-m", module))
+        assert run(argv) == proc.returncode == code, proc.stderr
+        # argparse writes its usage errors to sys.stderr, so read both streams there
+        out, err = capsys.readouterr()
+        assert (proc.stdout.decode(), proc.stderr.decode()) == (out, err), argv
 
 
 def test_non_utf8_input_exits_one_in_a_subprocess(tmp_path):

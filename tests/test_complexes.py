@@ -77,8 +77,11 @@ def test_from_facets_label_errors():
         from_facets([[1, 1]])
     with pytest.raises(InvalidLabel):
         from_facets([[""]])
-    with pytest.raises(InvalidLabel):
-        from_facets([["a b"]])
+    for label in ("a b", "a\u00a0b", "\u2003x", "\x1c", "a\tb", "x\n"):
+        with pytest.raises(InvalidLabel) as info:
+            from_facets([["ok", label]])
+        assert str(info.value) == f"label {label!r} contains whitespace"
+    assert from_facets([["a\u200bb", "\u00e9"]]).labels == ("a\u200bb", "\u00e9")
     with pytest.raises(InvalidLabel):
         from_facets([[None]])
 

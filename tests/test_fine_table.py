@@ -4,6 +4,8 @@ sums, subset walks and term scans of oracles.py."""
 
 import io
 import random
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,9 +13,11 @@ from hypothesis import given, strategies as st
 from scx import (
     bit_indices,
     boundary_simplex,
+    check_weak_property_e,
     classify,
     coarse_from_fine,
     cross_polytope,
+    cycle,
     fine_e_polynomial,
     from_facets,
     full_simplex,
@@ -24,6 +28,7 @@ from scx import (
     whiskered_cycle,
 )
 from scx.cli import run
+from scx.errors import VoidComplex
 from scx.hilbert import FineEPolynomial
 from oracles import (
     eulerian_by_link_sums,
@@ -78,6 +83,55 @@ def test_fine_table_matches_submask_walk(sample):
         assert fine_e_polynomial(c).sorted_terms() == fine_terms_by_submask_walk(c), c
 
 
+@pytest.mark.parametrize("facets", [
+    [[]],                                   # the complex {}: only the empty face
+    [["a"]],                                # a single vertex
+    [["a", "b"], ["b", "c"], ["z"]],        # the top-index vertex is isolated
+    [["0"], ["a", "b"], ["b", "c"]],        # the lowest-index vertex is isolated
+    [["0"], ["a", "b", "c"], ["z"]],        # both ends isolated
+])
+def test_fine_table_edge_cases(facets):
+    c = from_facets(facets)
+    assert fine_e_polynomial(c).sorted_terms() == fine_terms_by_submask_walk(c)
+
+
+def test_void_complex_has_no_fine_table():
+    void = from_facets([])
+    for check in (fine_e_polynomial, is_eulerian, is_eulerian_sphere, classify):
+        with pytest.raises(VoidComplex):
+            check(void)
+
+
+def test_fine_table_is_compact():
+    # full simplices keep one term of all their faces; cross-polytopes keep them all
+    for c in (full_simplex(10), cross_polytope(6), boundary_simplex(5)):
+        table = c._fine_terms
+        assert 0 not in table.values()
+        assert sys.getsizeof(table) == sys.getsizeof(dict(table)), c
+    assert len(full_simplex(10)._fine_terms) == 1
+
+
+def _joins_and_suspensions():
+    parts = [cycle(4), boundary_simplex(2), full_simplex(1), whiskered_cycle(3, 1),
+             from_facets([[1], [2], [3]]), from_facets([[1, 2], [3]])]
+    return [a.join(b) for a, b in combinations(parts, 2)] + [p.suspension() for p in parts]
+
+
+def test_klee_eulerian_complexes_have_weak_property_e(sample):
+    # Klee: Eulerian implies general Dehn-Sommerville, which is weak Property E,
+    # so classify may report a complex without it as not Eulerian unchecked
+    seen = set()
+    for c in sample + _joins_and_suspensions():
+        weak = check_weak_property_e(c).ok
+        if not weak:
+            assert not eulerian_by_link_sums(c)[0], c
+        report = classify(c)
+        assert (report.eulerian, report.eulerian_sphere) == (
+            is_eulerian(c).ok, is_eulerian_sphere(c).ok), c
+        seen.add((weak, report.eulerian))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
 def test_sample_reaches_both_verdicts(sample):
     verdicts = [eulerian_by_link_sums(c) for c in sample]
     witnesses = {w.split(":")[0].split("{")[0] for ok, w in verdicts if not ok}
@@ -88,6 +142,8 @@ def test_sample_reaches_both_verdicts(sample):
 
 
 def test_classify_runs_the_eulerian_test_once(monkeypatch):
+    # once when weak Property E holds; never when it fails, since Klee's theorem
+    # already rules Eulerian out, and then the fine table stays unbuilt
     import scx.properties as properties
 
     calls = []
@@ -98,12 +154,18 @@ def test_classify_runs_the_eulerian_test_once(monkeypatch):
         return real(c)
 
     monkeypatch.setattr(properties, "is_eulerian", counting)
-    for c in (cross_polytope(3), full_simplex(2), whiskered_cycle(4, 1), from_facets([[1], [2], [3]])):
+    weak_seen = set()
+    for c in (cross_polytope(3), full_simplex(2), whiskered_cycle(4, 1), from_facets([[1], [2], [3]]),
+              boundary_simplex(3).suspension(), from_facets([[1, 2], [3]])):
         calls.clear()
         report = classify(c)
-        assert len(calls) == 1
+        weak = check_weak_property_e(c).ok
+        weak_seen.add(weak)
+        assert len(calls) == weak
+        assert ("_fine_terms" in vars(c)) == weak
         assert (report.eulerian, report.eulerian_sphere) == (
             eulerian_by_link_sums(c)[0], eulerian_sphere_by_link_sums(c)[0])
+    assert weak_seen == {True, False}
 
 
 def test_one_table_serves_the_complex_in_either_order():
