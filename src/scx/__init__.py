@@ -42,13 +42,11 @@ from .hilbert import (
     taylor_coefficient,
 )
 from .properties import (
-    HalfEvaluation,
     LinkIdentityResult,
     PropertyReport,
     Verdict,
     check_classical_ds,
     check_general_ds,
-    check_half_evaluation,
     check_join_property_e,
     check_link_identity,
     check_property_e,

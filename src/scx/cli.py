@@ -22,21 +22,29 @@ from .vectors import f_to_e, vector_json
 
 
 class _Usage(Exception):
-    """Command line is well formed for argparse but still malformed for us."""
+    """A malformed command line, found by argparse or by a verb's own checks."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Usage(message)
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
-    """Execute one command; returns the exit code without calling sys.exit."""
+    """Execute one command; returns the exit code without calling sys.exit.
+
+    Results go to stdout and every error, usage errors included, to stderr
+    as one 'scx: ...' line. Only --help writes elsewhere: argparse prints it
+    to the process's sys.stdout and run() returns 0.
+    """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(list(argv) if argv is not None else None)
         out = args.handler(args, stdin)
+    except SystemExit as exc:  # --help, which argparse has printed
+        return exc.code if isinstance(exc.code, int) else 2
     except _Usage as exc:
         print(f"scx: usage error: {exc}", file=stderr)
         return 2
@@ -55,7 +63,7 @@ def main() -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scx",
         description="Exact f/h/e-vectors, exponential Hilbert series and "
                     "structural checks for abstract simplicial complexes.")
@@ -138,22 +146,14 @@ def _dump(payload: dict) -> str:
 
 def _cmd_info(args, stdin) -> str:
     c = _read_complex(args.input, stdin)
-    if c.is_void:
-        payload = {"kind": "void", "vertices": 0, "labels": [], "facets": []}
-    else:
-        payload = {
-            "kind": "nonvoid",
-            "vertices": c.n,
-            "labels": list(c.labels),
-            "facets": [list(f) for f in c.facets()],
-            "dimension": c.dimension(),
-            "pure": c.is_pure(),
-            "faces": len(c.face_mask_set),
-        }
+    if c.is_void and args.pretty:
+        return "void complex (no faces)\n"
+    payload = {"kind": c.kind, "vertices": c.n, "labels": list(c.labels),
+               "facets": [list(f) for f in c.facets()]}
+    if not c.is_void:
+        payload |= {"dimension": c.dimension(), "pure": c.is_pure(), "faces": len(c.face_mask_set)}
     if not args.pretty:
         return _dump(payload)
-    if c.is_void:
-        return "void complex (no faces)\n"
     lines = [
         f"vertices: {c.n} ({' '.join(c.labels)})",
         "facets: " + " ".join("{" + " ".join(f) + "}" for f in c.facets()),
@@ -207,16 +207,16 @@ def _cmd_series(args, stdin) -> str:
 
 def _cmd_check(args, stdin) -> str:
     c = _read_complex(args.input, stdin)
-    report = properties.classify(c)
-    payload = vector_json(c.f_vector()) | report.to_dict()
+    report = properties.classify(c).to_dict()
+    payload = vector_json(c.f_vector()) | report
     if not args.pretty:
         return _dump(payload)
     lines = [_vector_lines(payload).rstrip("\n")]
-    for key in ("property_e", "weak_property_e", "classical_ds", "general_ds",
-                "eulerian", "eulerian_sphere", "pure"):
-        lines.append(f"{key:18s} {'yes' if payload[key] else 'no'}")
-    if payload["witness"]:
-        lines.append(f"witness: {payload['witness']}")
+    witness = report.pop("witness")
+    for key, ok in report.items():
+        lines.append(f"{key:18s} {'yes' if ok else 'no'}")
+    if witness:
+        lines.append(f"witness: {witness}")
     return "\n".join(lines) + "\n"
 
 
@@ -275,8 +275,8 @@ def _cmd_oracle(args, stdin) -> str:
     k = args.max_entry
     if k < 0:
         raise _Usage("--max-entry must be >= 0")
-    if (k + 1) ** max(c.n, 1) > 2_000_000:
-        raise TooLarge(f"{(k + 1) ** c.n} multidegrees is too many to sweep")
+    if (k + 1) ** c.n > 2_000_000:
+        raise TooLarge(f"--max-entry {k} on {c.n} vertices gives over 2000000 multidegrees to sweep")
     fine = hilbert.fine_e_polynomial(c)
     checked = 0
     for a in product(range(k + 1), repeat=c.n):

@@ -88,13 +88,15 @@ class SimplicialComplex:
 
     ``labels`` maps dense vertex indices to their string labels (sorted), and
     ``facet_masks`` holds the maximal faces as bitmasks over those indices,
-    an antichain by construction. Equality is structural.
+    an antichain by construction; no facets at all is the void complex.
+    Equality is structural.
     """
 
-    def __init__(self, labels: tuple[str, ...], facet_masks: tuple[int, ...], *, void: bool = False):
+    def __init__(self, labels: tuple[str, ...], facet_masks: tuple[int, ...]):
         self.labels = labels
         self.facet_masks = facet_masks
-        self.is_void = void
+        # a plain attribute, not a property: the void guard runs on every query
+        self.is_void = not facet_masks
 
     # -- identity ---------------------------------------------------------
 
@@ -105,16 +107,16 @@ class SimplicialComplex:
 
     @property
     def kind(self) -> str:
+        """'void' or 'nonvoid', as ``scx info`` reports it."""
         return "void" if self.is_void else "nonvoid"
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return (self.is_void, self.labels, self.facet_masks) == \
-               (other.is_void, other.labels, other.facet_masks)
+        return (self.labels, self.facet_masks) == (other.labels, other.facet_masks)
 
     def __hash__(self):
-        return hash((self.is_void, self.labels, self.facet_masks))
+        return hash((self.labels, self.facet_masks))
 
     def __repr__(self):
         if self.is_void:
@@ -330,7 +332,7 @@ def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
             seen.append(label)
         normalized.append(seen)
     if not normalized:
-        return SimplicialComplex((), (), void=True)
+        return SimplicialComplex((), ())
     labels = tuple(sorted({lab for f in normalized for lab in f}))
     index = {lab: i for i, lab in enumerate(labels)}
     masks = set()

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, bit_indices
 from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter
-from .vectors import EVector, _as_e
+from .vectors import EVector, _as_e, e_polynomial
 
 __all__ = [
     "FineEPolynomial",
@@ -223,9 +223,4 @@ def evaluate_coarse(e, t: float) -> float:
 
 def evaluate_e_poly_exact(e, q) -> Fraction:
     """Exact rational value of the e-polynomial sum_k e_k q^k."""
-    e = _as_e(e)
-    q = Fraction(q)
-    acc = Fraction(0)
-    for ek in reversed(tuple(e)):
-        acc = acc * q + ek
-    return acc
+    return e_polynomial(e)(Fraction(q))

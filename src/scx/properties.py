@@ -12,21 +12,16 @@ a result.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from math import comb
-from typing import NamedTuple
 
-from .complexes import SimplicialComplex, bit_indices
+from .complexes import SimplicialComplex
 from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter
-from .hilbert import evaluate_coarse, evaluate_e_poly_exact
 from .vectors import IntPolynomial, _sign, e_polynomial, f_polynomial, f_to_e, f_to_h
 
 __all__ = [
     "Verdict",
     "PropertyReport",
-    "HalfEvaluation",
     "LinkIdentityResult",
     "check_property_e",
     "check_weak_property_e",
@@ -36,7 +31,6 @@ __all__ = [
     "is_eulerian_sphere",
     "check_link_identity",
     "check_join_property_e",
-    "check_half_evaluation",
     "classify",
     "is_connected",
 ]
@@ -51,13 +45,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-class HalfEvaluation(NamedTuple):
-    """Outcomes of the t = 1/2 evaluations; both None when not Eulerian."""
-
-    euler_value_ok: bool | None
-    root_ok: bool | None
 
 
 @dataclass(frozen=True)
@@ -84,16 +71,7 @@ class PropertyReport:
     witness: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "property_e": self.property_e,
-            "weak_property_e": self.weak_property_e,
-            "classical_ds": self.classical_ds,
-            "general_ds": self.general_ds,
-            "eulerian": self.eulerian,
-            "eulerian_sphere": self.eulerian_sphere,
-            "pure": self.pure,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _property_e_from(c: SimplicialComplex, first_k: int) -> Verdict:
@@ -232,29 +210,6 @@ def check_join_property_e(c1: SimplicialComplex, c2: SimplicialComplex) -> bool:
     return check_property_e(joined).ok and product_ok
 
 
-def check_half_evaluation(c: SimplicialComplex) -> HalfEvaluation:
-    """Evaluations at t = 1/2 for Eulerian complexes.
-
-    euler_value_ok compares the exact value of the e-polynomial at 1/2 with
-    chi_top; for even-dimensional complexes the two can legitimately differ,
-    so callers should treat a False there as a flag, not a failure. For
-    odd-dimensional Eulerian complexes root_ok additionally requires the
-    exact value to vanish and -ln 2 to be a numeric root of the coarse
-    exponential series. Non-Eulerian input yields (None, None).
-    """
-    c._require_faces()
-    if not is_eulerian(c).ok:
-        return HalfEvaluation(None, None)
-    e = f_to_e(c.f_vector())
-    _, chi_top = c.euler_characteristics()
-    at_half = evaluate_e_poly_exact(e, Fraction(1, 2))
-    euler_value_ok = at_half == chi_top
-    root_ok = None
-    if c.dimension() % 2 == 1:
-        root_ok = at_half == 0 and abs(evaluate_coarse(e, -math.log(2.0))) < 1e-9
-    return HalfEvaluation(euler_value_ok, root_ok)
-
-
 def classify(c: SimplicialComplex) -> PropertyReport:
     """Full report over all checks, with the e-side and h-side conditions
     computed independently; a mismatch between the two raises
@@ -289,24 +244,18 @@ def classify(c: SimplicialComplex) -> PropertyReport:
 
 
 def is_connected(c: SimplicialComplex) -> bool:
-    """Graph connectivity of the 1-skeleton (union-find over the edges)."""
+    """Graph connectivity of the 1-skeleton, read from the facets alone.
+
+    Any two vertices of a facet span an edge, so vertex 0's component grows
+    by whole facets until a pass over them adds nothing; no face is built.
+    """
     c._require_faces()
-    n = c.n
-    if n <= 1:
-        return True
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for face in c.face_mask_set:
-        if face.bit_count() == 2:
-            i, j = bit_indices(face)
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    root = find(0)
-    return all(find(i) == root for i in range(n))
+    everything = (1 << c.n) - 1
+    reached, grew = everything & 1, True  # vertex 0, when there is one
+    while grew:
+        grew = False
+        for m in c.facet_masks:
+            if m & reached and m & ~reached:
+                reached |= m
+                grew = True
+    return reached == everything

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scx import boundary_simplex, evaluate_coarse, parse_facet_text
 from scx.cli import run
@@ -254,6 +256,24 @@ def test_usage_errors_exit_two(ex3_file):
     assert cli([])[0] == 2
 
 
+def test_usage_errors_go_to_the_given_stderr(capsys):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["make", "cross-polytope", "2", "--seed"]
+    assert run(argv, stdin=io.StringIO(), stdout=out, stderr=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == "scx: usage error: argument --seed: expected one argument\n"
+    assert capsys.readouterr() == ("", "")
+
+
+def test_oracle_refuses_a_huge_max_entry_without_printing_the_count():
+    huge = "9" * 4300  # the longest integer Python converts to and from text by default
+    code, out, err = cli(["oracle", "-", "--max-entry", huge], stdin_text="facet 1 2\n")
+    assert (code, out) == (1, "") and err.startswith("scx: TooLarge: --max-entry 999")
+    # the empty-face complex has a single multidegree, whatever the entries
+    assert cli(["oracle", "-", "--max-entry", huge], stdin_text="facet\n") == (
+        0, '{"ok": true, "checked": 1}\n', "")
+
+
 def test_malformed_input_exits_one():
     code, _, err = cli(["vectors", "-"], stdin_text="simplex 1 2\n")
     assert code == 1 and "FacetFormatError" in err
@@ -292,7 +312,7 @@ def test_python_dash_m_matches_run(module, capsys):
     for argv, code in cases:
         proc = scx_subprocess(argv, entry=("-m", module))
         assert run(argv) == proc.returncode == code, proc.stderr
-        # argparse writes its usage errors to sys.stderr, so read both streams there
+        # run() without streams writes to sys.stdout and sys.stderr, which capsys reads
         out, err = capsys.readouterr()
         assert (proc.stdout.decode(), proc.stderr.decode()) == (out, err), argv
 
@@ -339,3 +359,39 @@ def test_void_input_exits_one_with_the_shared_guard():
 def test_output_is_deterministic(ex3_file):
     assert cli(["check", ex3_file]) == cli(["check", ex3_file])
     assert cli(["series", ex3_file, "--fine"]) == cli(["series", ex3_file, "--fine"])
+
+
+# -- fuzz ----------------------------------------------------------------------------------------------
+
+VERBS = ["info", "vectors", "series", "check", "make", "link", "join", "suspend", "oracle",
+         "frobnicate"]
+FLAGS = ["--json", "--pretty", "--fine", "--eval", "--face", "--seed", "--max-entry", "--bogus"]
+WORDS = ["-", "", "nan", "inf", "1e308", "-1e308", "1e309", "1,,2", "1,2", "1", "-1", "0", "2",
+         "3", "9" * 40, "9" * 4300, "9" * 4400, "cycle", "cross-polytope", "boundary-simplex",
+         "full-simplex", "whiskered-cycle", "random", "dodecahedron"]
+LINES = ["facet 1 2 3", "facet 2 4", "facet 3 4", "facet", "facet 5", "facet a b c d",
+         "facet 1 1", "simplex 1 2", "# comment", "", "facet \udcff"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "ex3.scx").write_text(EX3_TEXT)
+    (root / "void.scx").write_text("# no facets\n")
+    return [str(root / "ex3.scx"), str(root / "void.scx"), str(root / "missing.scx"), str(root)]
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(data, fuzz_paths, capsys):
+    # capsys is read after every example, so sharing it across examples is safe
+    verb = data.draw(st.lists(st.sampled_from(VERBS), max_size=1))
+    rest = data.draw(st.lists(st.sampled_from(FLAGS + WORDS + fuzz_paths), max_size=6))
+    text = "\n".join(data.draw(st.lists(st.sampled_from(LINES), max_size=6)))
+    code, out, err = cli(verb + rest, stdin_text=text)
+    assert code in (0, 1, 2)
+    if code:
+        assert out == "" and err.startswith("scx: ") and err.endswith("\n")
+    else:
+        assert err == ""
+    assert capsys.readouterr() == ("", "")

@@ -10,6 +10,7 @@ from scx import (
     FacetFormatError,
     InvalidLabel,
     InvalidParameter,
+    SimplicialComplex,
     TooLarge,
     VoidComplex,
     boundary_simplex,
@@ -68,6 +69,11 @@ def test_from_facets_void():
         v.euler_characteristics()
     with pytest.raises(VoidComplex):
         v.suspension()
+    # no facets at all is the void complex, however it is built
+    bare = SimplicialComplex((), ())
+    assert bare == v and hash(bare) == hash(v) and bare.kind == "void"
+    with pytest.raises(VoidComplex):
+        bare.f_vector()
     with pytest.raises(VoidComplex):
         v.join(from_facets([[1]]))
 

@@ -12,7 +12,6 @@ from scx import (
     boundary_simplex,
     check_classical_ds,
     check_general_ds,
-    check_half_evaluation,
     check_join_property_e,
     check_link_identity,
     check_property_e,
@@ -69,7 +68,7 @@ def test_checks_reject_void():
     void = from_facets([])
     for check in (check_property_e, check_weak_property_e, check_classical_ds,
                   check_general_ds, is_eulerian, is_eulerian_sphere,
-                  check_half_evaluation, classify, is_connected):
+                  classify, is_connected):
         with pytest.raises(VoidComplex):
             check(void)
 
@@ -206,23 +205,6 @@ def test_suspension_of_whiskered_cycle_keeps_property_e():
 
 # -- half-point evaluations ---------------------------------------------------------------
 
-def test_half_evaluation_odd_dimensional_sphere():
-    result = check_half_evaluation(cross_polytope(2))
-    assert result == (True, True)
-
-
-def test_half_evaluation_reports_false_flags_without_raising():
-    # the triangle cycle is an odd-dimensional Eulerian sphere whose
-    # e-polynomial does not vanish at 1/2 (the value is 1/4), so both flags
-    # come back False; reporting, not raising, is the contract
-    result = check_half_evaluation(cycle(3))
-    assert result == (False, False)
-    from fractions import Fraction
-    from scx import evaluate_e_poly_exact
-    e = f_to_e(cycle(3).f_vector())
-    assert evaluate_e_poly_exact(e, Fraction(1, 2)) == Fraction(1, 4)
-
-
 def test_half_point_vanishes_for_even_dimensional_property_e():
     # with Property E, e(t) == (-1)^d f(-t), while e(t) == f(t-1) always;
     # at t = 1/2 these force e(1/2) = 0 whenever d is odd (even dimension),
@@ -242,18 +224,6 @@ def test_half_point_vanishes_for_even_dimensional_property_e():
         assert abs(evaluate_coarse(e, -math.log(2.0))) < 1e-9
         seen += 1
     assert seen >= 5
-
-
-def test_half_evaluation_even_dimensional_flag():
-    # for the 2-sphere the exact value at 1/2 is 0 while chi_top is 2; this is
-    # reported as a flag, never raised
-    result = check_half_evaluation(boundary_simplex(3))
-    assert result.euler_value_ok is False
-    assert result.root_ok is None
-
-
-def test_half_evaluation_absent_for_non_eulerian():
-    assert check_half_evaluation(whiskered_cycle(3, 1)) == (None, None)
 
 
 # -- classify --------------------------------------------------------------------------------
@@ -287,6 +257,10 @@ def test_connectivity():
     assert is_connected(from_facets([[]]))
     assert not is_connected(from_facets([[1, 2], [3, 4]]))
     assert not is_connected(from_facets([[1, 2], [3]]))
+    # both hold far more faces than the face budget lets face_mask_set build
+    assert is_connected(full_simplex(30))
+    halves = [[str(i) for i in range(25)], [str(i) for i in range(25, 50)]]
+    assert not is_connected(from_facets(halves))
 
 
 def test_connectivity_matches_bfs(random_corpus):
