@@ -254,5 +254,3 @@ def test_evaluate_exact_examples():
     assert evaluate_e_poly_exact(tetra_e, 1) == 1
     assert evaluate_e_poly_exact((1, -3, 2, 1), Fraction(1, 3)) == Fraction(7, 27)
     assert evaluate_e_poly_exact((1,), Fraction(5, 7)) == 1
-    # an odd-dimensional Eulerian sphere whose e-polynomial does not vanish at 1/2
-    assert evaluate_e_poly_exact(f_to_e(cycle(3).f_vector()), Fraction(1, 2)) == Fraction(1, 4)

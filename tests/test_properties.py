@@ -226,6 +226,18 @@ def test_half_point_vanishes_for_even_dimensional_property_e():
     assert seen >= 5
 
 
+def test_half_evaluation_reports_false_flags_without_raising():
+    # the triangle cycle is an odd-dimensional Eulerian sphere with Property E
+    # whose e-polynomial does not vanish at 1/2 (the value is 1/4): no theorem
+    # gives a root there, so the value is reported and nothing raises
+    from fractions import Fraction
+    from scx import evaluate_e_poly_exact
+    report = classify(cycle(3))
+    assert report.eulerian_sphere and report.property_e
+    e = f_to_e(cycle(3).f_vector())
+    assert evaluate_e_poly_exact(e, Fraction(1, 2)) == Fraction(1, 4)
+
+
 # -- classify --------------------------------------------------------------------------------
 
 def test_classify_examples():
