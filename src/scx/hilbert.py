@@ -24,8 +24,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, bit_indices
-from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter
-from .vectors import EVector, _as_e, e_polynomial
+from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter, TooLarge
+from .vectors import EVector, e_polynomial
 
 __all__ = [
     "FineEPolynomial",
@@ -192,7 +192,8 @@ def free_module_series_eval(a: Sequence[int], x: Sequence[float]) -> float:
     """Closed form of the exponential series of the free module generated in degree a.
 
     Evaluates prod_i (exp(x_i) - sum_{k < a_i} x_i^k / k!) numerically. An
-    exp overflow is reported as infinity rather than raised.
+    exp overflow is reported as infinity rather than raised; TooLarge is
+    raised where the doubles meet as inf - inf or 0 * inf.
     """
     if len(a) != len(x):
         raise DimensionMismatch(f"degree length {len(a)} != point length {len(x)}")
@@ -205,20 +206,34 @@ def free_module_series_eval(a: Sequence[int], x: Sequence[float]) -> float:
             expo = math.exp(xi)
         except OverflowError:
             expo = math.inf
-        value *= expo - sum(xi ** k / math.factorial(k) for k in range(ai))
+        head, term = 0.0, 1.0
+        for k in range(1, ai + 1):
+            head += term
+            term *= xi / k
+        value *= expo - head
+    if math.isnan(value):
+        raise TooLarge(f"the closed form at {tuple(x)} leaves the double range (inf - inf or 0 * inf)")
     return value
 
 
 def evaluate_coarse(e, t: float) -> float:
-    """Numeric value of the coarse exponential series sum_k e_k exp(k t)."""
-    e = _as_e(e)
-    total = 0.0
-    for k, ek in enumerate(e):
-        try:
-            total += ek * math.exp(k * t)
-        except OverflowError:  # only for t > 0, where e_d >= 1 (EVector checks it) dominates
-            return math.inf
-    return total
+    """Numeric value of the coarse exponential series sum_k e_k exp(k t).
+
+    Exact at the double y = exp(t), rounded once, so huge entries may
+    cancel; a value beyond the double range is infinity of its sign.
+    """
+    p = e_polynomial(e)
+    if math.isnan(t):
+        return math.nan
+    try:
+        y = Fraction(math.exp(t))
+    except OverflowError:  # exp(t) is infinite, where e_d >= 1 (EVector checks it) dominates
+        return math.inf if p.degree else 1.0
+    value = p(y)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def evaluate_e_poly_exact(e, q) -> Fraction:

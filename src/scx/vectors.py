@@ -10,11 +10,14 @@ For a complex of dimension d-1 all three vectors have length d+1:
   series read as a polynomial in ``y = exp(t)``.
 
 Each vector determines the other two through invertible lower-triangular
-integer systems. The six transforms below use the summation formulas
-directly; the signed Pascal matrices realizing the same maps are available
-from :func:`pascal_matrices` for cross-checking. Everything is exact: Python
-big integers throughout, :class:`fractions.Fraction` where a rational value
-is evaluated. No float ever enters a transform.
+integer systems, all one binomial shift: with f(t) = sum_i f_{i-1} t^i, the
+e-polynomial is f(t - 1), and the reversed h-polynomial is the reversed
+f-polynomial at t - 1. The five transforms share that one kernel,
+:func:`_shift`; :func:`pascal_matrices`, :func:`shift_poly` and
+:func:`h_poly_from_f_poly` stay independent of it, so the tests can compare
+the transforms against them. Everything is exact: Python big integers
+throughout, :class:`fractions.Fraction` where a rational value is
+evaluated. No float ever enters a transform.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Union
 
-from .errors import NotAnEVector, NotAnHVector
+from .errors import InvalidParameter, NotAnEVector, NotAnHVector
 
 __all__ = [
     "FVector",
@@ -126,47 +129,42 @@ class HVector(_IntVector):
             raise ValueError("h-vector entries must sum to f_{d-1} >= 1")
 
 
-def _as_f(v) -> FVector:
-    return v if isinstance(v, FVector) else FVector(tuple(v))
+def _as(cls, v, error):
+    """v as a cls vector, the constructor's complaint raised as the typed error."""
+    if isinstance(v, cls):
+        return v
+    try:
+        return cls(tuple(v))
+    except (ValueError, TypeError) as exc:
+        raise error(str(exc)) from exc
 
 
-def _as_e(v) -> EVector:
-    return v if isinstance(v, EVector) else EVector(tuple(v))
-
-
-def _as_h(v) -> HVector:
-    return v if isinstance(v, HVector) else HVector(tuple(v))
+def _shift(coeffs, c: int) -> list[int]:
+    """Coefficients of p(t + c) by d passes of synthetic division, no binomials."""
+    a = list(coeffs)
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
 
 
 def f_to_e(f: FVector | Iterable[int]) -> EVector:
     """e_k = sum_{i=k..d} (-1)^(i-k) C(i,k) f_{i-1}.
 
     This is the coefficient of y^k after expanding sum_i f_{i-1} (y-1)^i,
-    the coarse exponential series of the face ring.
+    the coarse exponential series of the face ring: e(y) = f(y - 1).
     """
-    f = _as_f(f)
-    d = f.d
-    return EVector(tuple(
-        sum(_sign(i - k) * comb(i, k) * f[i] for i in range(k, d + 1))
-        for k in range(d + 1)
-    ))
+    return EVector(tuple(_shift(_as(FVector, f, InvalidParameter), -1)))
 
 
 def e_to_f(e: EVector | Iterable[int]) -> FVector:
-    """Inverse transform: f_{i-1} = sum_{j=i..d} C(j,i) e_j.
+    """Inverse transform: f_{i-1} = sum_{j=i..d} C(j,i) e_j, i.e. f(t) = e(t + 1).
 
     Raises NotAnEVector when the result is not a plausible f-vector (a
     negative count, or f_-1 != 1).
     """
-    try:
-        e = _as_e(e)
-    except ValueError as exc:
-        raise NotAnEVector(str(exc)) from exc
-    d = e.d
-    entries = tuple(
-        sum(comb(j, i) * e[j] for j in range(i, d + 1))
-        for i in range(d + 1)
-    )
+    entries = tuple(_shift(_as(EVector, e, NotAnEVector), 1))
     try:
         return FVector(entries)
     except ValueError as exc:
@@ -175,12 +173,8 @@ def e_to_f(e: EVector | Iterable[int]) -> FVector:
 
 def f_to_h(f: FVector | Iterable[int]) -> HVector:
     """h_k = sum_{i=0..k} (-1)^(k-i) C(d-i, k-i) f_{i-1}."""
-    f = _as_f(f)
-    d = f.d
-    return HVector(tuple(
-        sum(_sign(k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
-        for k in range(d + 1)
-    ))
+    f = _as(FVector, f, InvalidParameter)
+    return HVector(tuple(reversed(_shift(reversed(f.entries), -1))))
 
 
 def h_to_f(h: HVector | Iterable[int]) -> FVector:
@@ -188,15 +182,8 @@ def h_to_f(h: HVector | Iterable[int]) -> FVector:
 
     Raises NotAnHVector when the round trip does not land on a valid f-vector.
     """
-    try:
-        h = _as_h(h)
-    except ValueError as exc:
-        raise NotAnHVector(str(exc)) from exc
-    d = h.d
-    entries = tuple(
-        sum(comb(d - j, i - j) * h[j] for j in range(i + 1))
-        for i in range(d + 1)
-    )
+    h = _as(HVector, h, NotAnHVector)
+    entries = tuple(reversed(_shift(reversed(h.entries), 1)))
     try:
         return FVector(entries)
     except ValueError as exc:
@@ -206,43 +193,33 @@ def h_to_f(h: HVector | Iterable[int]) -> FVector:
 def h_to_e(h: HVector | Iterable[int]) -> EVector:
     """e_k = (-1)^(d-k) sum_{j=d-k..d} C(j, d-k) h_j.
 
-    Obtained by extracting the t^k coefficient from
-    e(t) = sum_j h_j (t-1)^j t^(d-j); it always agrees with the composite
-    f_to_e(h_to_f(h)), which is how the input is validated.
+    That is the t^k coefficient of e(t) = sum_j h_j (t-1)^j t^(d-j). It is
+    computed as f_to_e(h_to_f(h)), whose first step validates the input,
+    raising NotAnHVector on garbage.
     """
-    h_to_f(h)  # validates, raising NotAnHVector on garbage
-    h = _as_h(h)
-    d = h.d
-    return EVector(tuple(
-        _sign(d - k) * sum(comb(j, d - k) * h[j] for j in range(d - k, d + 1))
-        for k in range(d + 1)
-    ))
+    return f_to_e(h_to_f(h))
 
 
 def pascal_matrices(d: int):
-    """The five (d+1)x(d+1) signed Pascal matrices tied to the transforms.
+    """The four (d+1)x(d+1) signed Pascal matrices realizing the transforms.
 
-    Returns ``(A, A_inv, B, B_inv, D_hat)`` as plain lists of integer rows:
+    Returns ``(A, A_inv, B, B_inv)`` as plain lists of integer rows:
 
     * ``A[i][j] = (-1)^(i-j) C(i,j)``  -- row vector f maps to e via f^T A,
     * ``A_inv[i][j] = C(i,j)`` -- entrywise absolute value of A, its inverse,
     * ``B[i][j] = (-1)^(i-j) C(d-j, i-j)`` -- column vector f maps to h via B f,
-    * ``B_inv[i][j] = C(d-j, i-j)`` -- again the absolute value,
-    * ``D_hat[i][j] = (-1)^(d-j) C(i,j)`` -- a column-signed copy of A_inv,
-      kept for inspection; the h-to-e transform itself uses the summation
-      formula in :func:`h_to_e`.
+    * ``B_inv[i][j] = C(d-j, i-j)`` -- again the absolute value.
 
     A * A_inv and B * B_inv are exactly the identity.
     """
     if d < 0:
-        raise ValueError("matrix size parameter d must be >= 0")
+        raise InvalidParameter("matrix size parameter d must be >= 0")
     size = d + 1
     A = [[_sign(i - j) * comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]
     A_inv = [[comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]
     B = [[_sign(i - j) * comb(d - j, i - j) if j <= i else 0 for j in range(size)] for i in range(size)]
     B_inv = [[comb(d - j, i - j) if j <= i else 0 for j in range(size)] for i in range(size)]
-    D_hat = [[_sign(d - j) * comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]
-    return A, A_inv, B, B_inv, D_hat
+    return A, A_inv, B, B_inv
 
 
 @dataclass(frozen=True)
@@ -337,34 +314,30 @@ class IntPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _as_poly(p) -> IntPolynomial:
-    return p if isinstance(p, IntPolynomial) else IntPolynomial(tuple(p))
-
-
 def f_polynomial(f: FVector | Iterable[int]) -> IntPolynomial:
     """sum_i f_{i-1} t^i."""
-    return IntPolynomial(_as_f(f).entries)
+    return IntPolynomial(_as(FVector, f, InvalidParameter).entries)
 
 
 def e_polynomial(e: EVector | Iterable[int]) -> IntPolynomial:
     """sum_k e_k t^k."""
-    return IntPolynomial(_as_e(e).entries)
+    return IntPolynomial(_as(EVector, e, NotAnEVector).entries)
 
 
 def h_polynomial(h: HVector | Iterable[int]) -> IntPolynomial:
     """sum_k h_k t^k."""
-    return IntPolynomial(_as_h(h).entries)
+    return IntPolynomial(_as(HVector, h, NotAnHVector).entries)
 
 
 def shift_poly(p: IntPolynomial | Iterable[int], c: int) -> IntPolynomial:
     """p(t + c), exactly. shift_poly(f_polynomial(f), -1) is the e-polynomial."""
-    return _as_poly(p).shift(c)
+    return _as(IntPolynomial, p, InvalidParameter).shift(c)
 
 
 def h_poly_from_f_poly(f: FVector | Iterable[int]) -> IntPolynomial:
     """Expand sum_i f_{i-1} t^i (1-t)^(d-i), the rational-substitution route
     (1-t)^d f(t/(1-t)) to the h-polynomial, without leaving integer arithmetic."""
-    f = _as_f(f)
+    f = _as(FVector, f, InvalidParameter)
     d = f.d
     one_minus_t = IntPolynomial((1, -1))
     powers = [IntPolynomial((1,))]
@@ -380,7 +353,7 @@ def h_poly_from_f_poly(f: FVector | Iterable[int]) -> IntPolynomial:
 
 def vector_json(f: FVector | Iterable[int]) -> dict:
     """The f/h/e triple as a JSON-ready dict with exact decimal strings."""
-    f = _as_f(f)
+    f = _as(FVector, f, InvalidParameter)
     return {
         "d": f.d,
         "f": [str(x) for x in f],

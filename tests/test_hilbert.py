@@ -11,6 +11,7 @@ import pytest
 from scx import (
     DimensionMismatch,
     InvalidParameter,
+    TooLarge,
     VoidComplex,
     bit_indices,
     boundary_simplex,
@@ -215,6 +216,14 @@ def test_free_module_eval_overflow_reports_infinity():
     assert free_module_series_eval((0,), (1000.0,)) == math.inf
 
 
+def test_free_module_eval_builds_each_term_from_the_last():
+    # 200! and (1e200)^2 are beyond the double range; x^k / k! need not be
+    assert abs(free_module_series_eval((200,), (1.0,))) < 1e-15
+    assert free_module_series_eval((3,), (-1e200,)) == -math.inf
+    with pytest.raises(TooLarge):
+        free_module_series_eval((3,), (1e200,))  # exp(x) - x^2/2 is inf - inf
+
+
 def test_free_module_eval_validation():
     with pytest.raises(DimensionMismatch):
         free_module_series_eval((1, 2), (1.0,))
@@ -240,6 +249,17 @@ def test_evaluate_coarse_overflow_takes_the_leading_sign():
     assert evaluate_coarse((-1, 4, -6, 4), 400) == math.inf
     assert evaluate_coarse((1, -3, 2, 1), 1000) == math.inf
     assert evaluate_coarse((-1, 4, -6, 4), -1000) == -1.0
+    assert evaluate_coarse((1,), 1000) == 1.0
+    assert evaluate_coarse((1, -3, 2, 1), math.inf) == math.inf
+    assert evaluate_coarse((1, -3, 2, 1), -math.inf) == 1.0   # e_0
+    assert math.isnan(evaluate_coarse((1, -3, 2, 1), math.nan))
+
+
+def test_evaluate_coarse_with_entries_beyond_the_double_range():
+    # the series at t = 0 is sum(e) = 1; at t = -5 it is about -0.99 * 10^400
+    e = (-(10**400), 10**400 + 1)
+    assert evaluate_coarse(e, 0.0) == 1.0
+    assert evaluate_coarse(e, -5.0) == -math.inf
 
 
 def test_evaluate_coarse_at_zero_is_one(corpus4):

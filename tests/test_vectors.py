@@ -11,10 +11,12 @@ from scx import (
     FVector,
     HVector,
     IntPolynomial,
+    InvalidParameter,
     NotAnEVector,
     NotAnHVector,
     e_polynomial,
     e_to_f,
+    evaluate_coarse,
     f_polynomial,
     f_to_e,
     f_to_h,
@@ -127,7 +129,8 @@ def test_h_to_f_rejects_non_h_vectors():
 # -- h -> e ---------------------------------------------------------------------
 
 def test_h_to_e_sign_regression():
-    # guards the sign placement (-1)^(d-k) in the direct formula
+    # guards the sign (-1)^(d-k) of the formula in h_to_e's docstring: the
+    # boundary of the tetrahedron has e = (-1, 4, -6, 4)
     assert tuple(h_to_e((1, 1, 1, 1))) == (-1, 4, -6, 4)
 
 
@@ -147,6 +150,28 @@ def test_h_to_e_rejects_non_h_vectors():
         h_to_e((1, -5, 5))
 
 
+# -- typed errors on malformed vectors -----------------------------------------------
+
+@pytest.mark.parametrize("bad", [(1, 2.0), (2, 4)])
+@pytest.mark.parametrize("func", [f_to_e, f_to_h, vector_json, f_polynomial, h_poly_from_f_poly])
+def test_bad_f_vectors_raise_invalid_parameter(func, bad):
+    with pytest.raises(InvalidParameter):
+        func(bad)
+
+
+def test_bad_e_and_h_vectors_raise_typed_errors():
+    with pytest.raises(NotAnEVector):
+        e_polynomial((1, 1))          # sum != 1
+    with pytest.raises(NotAnEVector):
+        evaluate_coarse((1, 1), 0.0)
+    with pytest.raises(NotAnEVector):
+        e_to_f(5)                     # not a sequence at all
+    with pytest.raises(NotAnHVector):
+        h_polynomial((0, 1))          # h_0 != 1
+    with pytest.raises(InvalidParameter):
+        shift_poly((1, 2.0), 1)
+
+
 # -- round trips and sum identities ------------------------------------------------
 
 def test_round_trips_exhaustive(corpus4):
@@ -157,7 +182,10 @@ def test_round_trips_exhaustive(corpus4):
 
 
 # facets of up to 12 vertices give the f-vectors of complexes up to d = 12
-@given(st.lists(st.frozensets(st.integers(1, 14), max_size=12), min_size=1, max_size=6))
+drawn_facets = st.lists(st.frozensets(st.integers(1, 14), max_size=12), min_size=1, max_size=6)
+
+
+@given(drawn_facets)
 @example([frozenset(range(1, 13))])
 @example([frozenset(range(1, 13)), frozenset(range(3, 15)), frozenset({1, 14})])
 def test_round_trips_of_drawn_f_vectors(facets):
@@ -167,6 +195,18 @@ def test_round_trips_of_drawn_f_vectors(facets):
     h = f_to_h(f)
     assert h_to_f(h) == f
     assert h_to_e(h) == f_to_e(h_to_f(h))
+
+
+# complexes on at most 6 vertices keep every join within the face budget
+small_complexes = st.lists(st.frozensets(st.integers(1, 6), max_size=4), min_size=1, max_size=4).map(from_facets)
+
+
+@given(small_complexes, small_complexes)
+def test_join_multiplies_e_and_h_polynomials(a, b):
+    joined = a.join(b).f_vector()
+    fa, fb = a.f_vector(), b.f_vector()
+    assert e_polynomial(f_to_e(joined)) == e_polynomial(f_to_e(fa)) * e_polynomial(f_to_e(fb))
+    assert h_polynomial(f_to_h(joined)) == h_polynomial(f_to_h(fa)) * h_polynomial(f_to_h(fb))
 
 
 def test_euler_identities(corpus4):
@@ -182,7 +222,7 @@ def test_euler_identities(corpus4):
 # -- Pascal matrices -----------------------------------------------------------------
 
 def test_pascal_small_cases():
-    A, A_inv, _, _, _ = pascal_matrices(1)
+    A, A_inv, _, _ = pascal_matrices(1)
     assert A == [[1, 0], [-1, 1]]
     assert A_inv == [[1, 0], [1, 1]]
     A3 = pascal_matrices(3)[0]
@@ -191,7 +231,7 @@ def test_pascal_small_cases():
 
 def test_pascal_inverse_pairs_exact():
     for d in range(7):
-        A, A_inv, B, B_inv, _ = pascal_matrices(d)
+        A, A_inv, B, B_inv = pascal_matrices(d)
         size = d + 1
         for X, Y in ((A, A_inv), (B, B_inv)):
             prod = [[sum(X[i][k] * Y[k][j] for k in range(size)) for j in range(size)]
@@ -204,19 +244,30 @@ def test_pascal_inverse_pairs_exact():
 def test_pascal_matrices_agree_with_transforms():
     f = (1, 4, 5, 1)
     d = 3
-    A, _, B, _, _ = pascal_matrices(d)
+    A, _, B, _ = pascal_matrices(d)
     row_e = [sum(f[i] * A[i][j] for i in range(d + 1)) for j in range(d + 1)]
     assert row_e == list(f_to_e(f))
     col_h = [sum(B[k][j] * f[j] for j in range(d + 1)) for k in range(d + 1)]
     assert col_h == list(f_to_h(f))
 
 
-def test_pascal_d_hat_entries():
-    D_hat = pascal_matrices(3)[4]
-    assert D_hat[2] == [-1, 2, -1, 0]
-    for i, row in enumerate(D_hat):
-        for j, value in enumerate(row):
-            assert value == ((-1) ** (3 - j) * comb(i, j) if j <= i else 0)
+def test_pascal_matrices_reject_negative_size():
+    assert pascal_matrices(0) == ([[1]], [[1]], [[1]], [[1]])
+    with pytest.raises(InvalidParameter):
+        pascal_matrices(-1)
+
+
+# the full simplex on 60 vertices adds d = 60, with entries far beyond 64 bits
+@given(drawn_facets.map(lambda facets: from_facets(facets).f_vector()))
+@example(FVector(tuple(comb(60, i) for i in range(61))))
+def test_transforms_match_pascal_matrices(f):
+    size = len(f)
+    A, A_inv, B, B_inv = pascal_matrices(size - 1)
+    e, h = f_to_e(f), f_to_h(f)
+    assert list(e) == [sum(f[i] * A[i][j] for i in range(size)) for j in range(size)]
+    assert list(h) == [sum(B[k][j] * f[j] for j in range(size)) for k in range(size)]
+    assert list(e_to_f(e)) == [sum(e[i] * A_inv[i][j] for i in range(size)) for j in range(size)]
+    assert list(h_to_f(h)) == [sum(B_inv[k][j] * h[j] for j in range(size)) for k in range(size)]
 
 
 # -- polynomials -----------------------------------------------------------------------
