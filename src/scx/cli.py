@@ -156,8 +156,9 @@ def _cmd_info(args, stdin) -> str:
         return _dump(payload)
     lines = [
         f"vertices: {c.n} ({' '.join(c.labels)})",
-        "facets: " + " ".join("{" + " ".join(f) + "}" for f in c.facets()),
-        f"dimension: {c.dimension()}   pure: {'yes' if c.is_pure() else 'no'}   faces: {len(c.face_mask_set)}",
+        "facets: " + " ".join("{" + " ".join(f) + "}" for f in payload["facets"]),
+        f"dimension: {payload['dimension']}   pure: {'yes' if payload['pure'] else 'no'}   "
+        f"faces: {payload['faces']}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -183,7 +184,6 @@ def _cmd_series(args, stdin) -> str:
     c = _read_complex(args.input, stdin)
     e = f_to_e(c.f_vector())
     payload: dict = {"e": [str(v) for v in e]}
-    fine = None
     if args.fine:
         fine = hilbert.fine_e_polynomial(c)
         if hilbert.coarse_from_fine(fine) != e:
@@ -197,9 +197,8 @@ def _cmd_series(args, stdin) -> str:
     if not args.pretty:
         return _dump(payload)
     lines = [f"e = ({', '.join(payload['e'])})"]
-    if fine is not None:
-        for subset, coeff in fine.sorted_terms():
-            lines.append("c{" + " ".join(subset) + "} = " + str(coeff))
+    for term in payload.get("fine", ()):
+        lines.append("c{" + " ".join(term["subset"]) + "} = " + term["coeff"])
     if args.eval is not None:
         lines.append(f"value at t={args.eval}: {payload['eval']['value']}")
     return "\n".join(lines) + "\n"

@@ -4,7 +4,9 @@ A complex is determined by its facets (inclusion-maximal faces). Vertex
 labels are arbitrary whitespace-free tokens; internally they map to dense
 indices 0..n-1 in sorted label order and every face is an integer bitmask
 over those indices, so subset tests and power-set walks are single-word
-operations at the sizes this library targets (a few dozen vertices).
+operations at the sizes this library targets (a few dozen vertices). This
+module owns that format: ``_mask_of`` reads a collection of labels by the one
+label rule, and ``_listed`` lists masks in the one order, by size, then labels.
 
 Two degenerate complexes are kept apart deliberately: the *void* complex has
 no faces at all, not even the empty one, and every counting operation rejects
@@ -81,6 +83,27 @@ def _check_label(raw) -> str:
     if raw.split() != [raw]:
         raise InvalidLabel(f"label {raw!r} contains whitespace")
     return raw
+
+
+def _mask_of(index: dict[str, int], labels: Iterable) -> int:
+    """The mask of a collection of labels, by the one label rule: InvalidParameter
+    for a bare string or a non-collection, InvalidLabel for a malformed label and
+    FaceNotInComplex for one that names no vertex."""
+    if isinstance(labels, (str, bytes)) or not isinstance(labels, Iterable):
+        raise InvalidParameter(f"a face is a collection of labels, got {labels!r}")
+    mask = 0
+    for raw in labels:
+        label = _check_label(raw)
+        if label not in index:
+            raise FaceNotInComplex(f"no vertex labeled {label!r}")
+        mask |= 1 << index[label]
+    return mask
+
+
+def _listed(labels: tuple[str, ...], masks: Iterable[int]) -> list[tuple[tuple[str, ...], int]]:
+    """(label tuple, mask) pairs in the one listing order: by size, then labels."""
+    return sorted(((tuple(labels[i] for i in bit_indices(m)), m) for m in masks),
+                  key=lambda item: (len(item[0]), item[0]))
 
 
 class SimplicialComplex:
@@ -190,18 +213,18 @@ class SimplicialComplex:
     def faces(self) -> list[tuple[str, ...]]:
         """All faces as label tuples, ordered by size then labels."""
         self._require_faces()
-        out = [self._labels_of_mask(m) for m in self.face_mask_set]
-        out.sort(key=lambda t: (len(t), t))
-        return out
+        return [face for face, _ in _listed(self.labels, self.face_mask_set)]
 
     def facets(self) -> tuple[tuple[str, ...], ...]:
         """The maximal faces as sorted label tuples."""
         return tuple(sorted(self._labels_of_mask(m) for m in self.facet_masks))
 
     def has_face(self, face: Iterable) -> bool:
+        """Is ``face``, a collection of labels read by the one label rule, a face?
+        An unknown label answers False; a malformed one raises InvalidLabel."""
         self._require_faces()
         try:
-            mask = self._mask_of_labels(face)
+            mask = _mask_of(self._index, face)
         except FaceNotInComplex:
             return False
         return mask in self.face_mask_set
@@ -212,16 +235,6 @@ class SimplicialComplex:
 
     def _labels_of_mask(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bit_indices(mask))
-
-    def _mask_of_labels(self, face: Iterable) -> int:
-        mask = 0
-        for raw in face:
-            label = _check_label(raw)
-            index = self._index.get(label)
-            if index is None:
-                raise FaceNotInComplex(f"no vertex labeled {label!r}")
-            mask |= 1 << index
-        return mask
 
     # -- counting -------------------------------------------------------------
 
@@ -264,14 +277,14 @@ class SimplicialComplex:
     def link(self, face: Iterable = ()) -> "SimplicialComplex":
         """Link of a face: faces disjoint from it whose union with it is a face.
 
-        Returned as a canonical complex over the surviving vertex labels. The
-        link of the empty face is the complex itself.
+        ``face`` is a collection of labels, read as by :meth:`has_face`, and a
+        non-face raises FaceNotInComplex. Returned as a canonical complex over
+        the surviving vertex labels; the link of the empty face is the complex itself.
         """
         self._require_faces()
-        mask = self._mask_of_labels(face)
+        mask = _mask_of(self._index, face)
         if mask not in self.face_mask_set:
-            raise FaceNotInComplex(
-                "{" + " ".join(self._labels_of_mask(mask)) + "} is not a face")
+            raise FaceNotInComplex("{" + " ".join(self._labels_of_mask(mask)) + "} is not a face")
         residues = [fm & ~mask for fm in self.facet_masks if fm & mask == mask]
         return from_facets([self._labels_of_mask(m) for m in residues])
 

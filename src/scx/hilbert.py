@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, bit_indices
-from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter, TooLarge
+from .complexes import SimplicialComplex, _listed, _mask_of
+from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter, ScxError, TooLarge
 from .vectors import EVector, e_polynomial
 
 __all__ = [
@@ -64,17 +64,14 @@ class FineEPolynomial:
         return len(self.labels)
 
     def _mask(self, subset: Iterable) -> int:
-        mask = 0
-        for raw in subset:
-            lab = str(raw)
-            index = self._index.get(lab)
-            if index is None:
-                raise InvalidParameter(f"unknown vertex label {lab!r}")
-            mask |= 1 << index
-        return mask
+        try:
+            return _mask_of(self._index, subset)
+        except ScxError as exc:  # a malformed or unknown label, or no collection
+            raise InvalidParameter(str(exc)) from None
 
     def coefficient(self, subset: Iterable = ()) -> int:
-        """Coefficient of the given vertex subset (0 when absent)."""
+        """Coefficient of the vertex subset, a collection of labels read by the
+        complex's one label rule (0 when absent, InvalidParameter when unreadable)."""
         return self._terms.get(self._mask(subset), 0)
 
     def superset_sum(self, subset: Iterable = ()) -> int:
@@ -98,11 +95,8 @@ class FineEPolynomial:
         return h
 
     def sorted_terms(self) -> list[tuple[tuple[str, ...], int]]:
-        """Nonzero terms as (label tuple, coefficient), smallest subsets first."""
-        out = [(tuple(self.labels[i] for i in bit_indices(m)), c)
-               for m, c in self._terms.items()]
-        out.sort(key=lambda item: (len(item[0]), item[0]))
-        return out
+        """Nonzero terms as (label tuple, coefficient), by size, then labels."""
+        return [(subset, self._terms[m]) for subset, m in _listed(self.labels, self._terms)]
 
     def __repr__(self):
         return f"FineEPolynomial(n={self.n}, d={self.d}, terms={len(self._terms)})"
@@ -114,9 +108,7 @@ def minimal_nonfaces(c: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
     A subset of the vertices is a face exactly when it contains none of these.
     """
     c._require_faces()
-    out = [tuple(c.labels[i] for i in bit_indices(m)) for m in c._minimal_nonface_masks]
-    out.sort(key=lambda t: (len(t), t))
-    return tuple(out)
+    return tuple(subset for subset, _ in _listed(c.labels, c._minimal_nonface_masks))
 
 
 def _support_mask(n: int, a: Sequence[int]) -> int:
@@ -220,15 +212,20 @@ def evaluate_coarse(e, t: float) -> float:
     """Numeric value of the coarse exponential series sum_k e_k exp(k t).
 
     Exact at the double y = exp(t), rounded once, so huge entries may
-    cancel; a value beyond the double range is infinity of its sign.
+    cancel; a value beyond the double range is infinity of its sign. Where exp(t)
+    overflows, y is 2^k exp(t - k ln 2), unless t > 711 is past Cauchy's root bound
+    ln(1 + max|e_k|) by 1: as e_d >= 1, p(y) >= y^d / 2 there, past the double range.
     """
     p = e_polynomial(e)
     if math.isnan(t):
         return math.nan
     try:
         y = Fraction(math.exp(t))
-    except OverflowError:  # exp(t) is infinite, where e_d >= 1 (EVector checks it) dominates
-        return math.inf if p.degree else 1.0
+    except OverflowError:
+        if t > max(math.log(1 + max(map(abs, p.coeffs))) + 1, 711):
+            return math.inf if p.degree else 1.0
+        k = math.ceil((t - 700) / math.log(2))
+        y = Fraction(math.exp(t - k * math.log(2))) * 2 ** k
     value = p(y)
     try:
         return float(value)

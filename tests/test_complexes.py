@@ -147,6 +147,17 @@ def test_link_errors():
         c.link(["9"])           # not even a vertex
 
 
+def test_a_face_argument_is_a_collection_of_labels():
+    c = from_facets([[1, 2], [12, 3]])
+    assert c.link(["12"]).facets() == (("3",),)
+    assert c.has_face(["12", "3"]) and c.has_face((1, 2)) and not c.has_face(["9"])
+    # a bare string would read as its characters: "12" as the face {1, 2}
+    for bare in ("12", b"12", 5, None):
+        for query in (c.has_face, c.link):
+            with pytest.raises(InvalidParameter):
+                query(bare)
+
+
 def test_vertex_link_face_count_identity(corpus3, random_corpus):
     # (j+1) f_j = sum over vertices of f_{j-1} of the vertex link
     for c in corpus3 + random_corpus[:60]:

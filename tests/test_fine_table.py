@@ -28,7 +28,8 @@ from scx import (
     whiskered_cycle,
 )
 from scx.cli import run
-from scx.errors import VoidComplex
+from scx.complexes import _mask_of
+from scx.errors import InvalidParameter, ScxError, VoidComplex
 from scx.hilbert import FineEPolynomial
 from oracles import (
     eulerian_by_link_sums,
@@ -81,6 +82,34 @@ def test_is_eulerian_sphere_matches_link_sums(sample):
 def test_fine_table_matches_submask_walk(sample):
     for c in sample:
         assert fine_e_polynomial(c).sorted_terms() == fine_terms_by_submask_walk(c), c
+
+
+drawn_complexes = st.lists(st.frozensets(st.integers(1, 8), max_size=5), min_size=1, max_size=8).map(from_facets)
+
+
+@given(drawn_complexes)
+def test_fine_table_matches_submask_walk_on_drawn_complexes(c):
+    assert fine_e_polynomial(c).sorted_terms() == fine_terms_by_submask_walk(c)
+
+
+# vertices 1..8 may or may not occur in a drawn complex; the rest are no labels
+label_like = st.one_of(st.integers(0, 9), st.integers(0, 9).map(str), st.booleans(), st.floats(0, 9),
+                       st.sampled_from([" 1", "1 2", "\t", "", "1.0"]))
+face_arguments = st.one_of(st.lists(label_like, max_size=4), st.frozensets(st.integers(1, 8), max_size=3),
+                           st.text(max_size=3), st.binary(max_size=2), st.integers(), st.none())
+
+
+@given(drawn_complexes, face_arguments)
+def test_coefficient_decodes_labels_as_the_complex_does(c, x):
+    # one label rule: the fine polynomial refuses exactly the arguments the complex refuses
+    p = fine_e_polynomial(c)
+    try:
+        mask = _mask_of(c._index, x)
+    except ScxError:
+        with pytest.raises(InvalidParameter):
+            p.coefficient(x)
+    else:
+        assert p.coefficient(x) == c._fine_terms.get(mask, 0)
 
 
 @pytest.mark.parametrize("facets", [

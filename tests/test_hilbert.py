@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -144,6 +145,18 @@ def test_fine_coefficients_worked_example():
         p.coefficient(["9"])
 
 
+def test_coefficient_reads_labels_by_the_complex_rule():
+    p = fine_e_polynomial(from_facets([[1, 2], [12, 3], ["True"]]))
+    assert p.coefficient(["12", "3"]) == 1
+    assert p.coefficient(["True"]) == 1 and p.coefficient([12]) == 0
+    # a bare string or int is no collection; True and 1.0 are no labels
+    for bad in ("12", 5, [True], [1.0], [" 1"], [""]):
+        with pytest.raises(InvalidParameter):
+            p.coefficient(bad)
+        with pytest.raises(InvalidParameter):
+            p.superset_sum(bad)
+
+
 def test_fine_constant_term_is_e0(corpus4):
     for c in corpus4:
         p = fine_e_polynomial(c)
@@ -260,6 +273,19 @@ def test_evaluate_coarse_with_entries_beyond_the_double_range():
     e = (-(10**400), 10**400 + 1)
     assert evaluate_coarse(e, 0.0) == 1.0
     assert evaluate_coarse(e, -5.0) == -math.inf
+
+
+def test_evaluate_coarse_where_exp_overflows():
+    # exp(t) overflows past t = 709.79; y^2 - 10^400 y + 10^400 changes sign near
+    # y = 10^400 (t = 921.03), and on both sides it is far beyond the double range
+    e = (10**400, -(10**400), 1)
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = 60, 10**6
+        for t in (709.9, 710.0, 800.0, 920.0, 921.5, 930.0, 2000.0):
+            y = Decimal(t).exp()
+            exact = sum(Decimal(x) * y**k for k, x in enumerate(e))
+            assert evaluate_coarse(e, t) == math.copysign(math.inf, exact), t
+    assert evaluate_coarse(e, 1e300) == math.inf  # past the root bound: no exact evaluation
 
 
 def test_evaluate_coarse_at_zero_is_one(corpus4):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scx import (
     HypothesisNotMet,
@@ -181,6 +182,15 @@ def test_derivative_identity(corpus3):
         for lab in c.labels:
             total = total + e_polynomial(f_to_e(c.link([lab]).f_vector()))
         assert e_poly.derivative() == total
+
+
+@given(st.lists(st.frozensets(st.integers(1, 9), max_size=5), min_size=1, max_size=8).map(from_facets))
+def test_derivative_identity_on_drawn_complexes(c):
+    # a face of size s lists s times among the vertex links, one size down
+    total = IntPolynomial()
+    for lab in c.labels:
+        total = total + e_polynomial(f_to_e(c.link([lab]).f_vector()))
+    assert e_polynomial(f_to_e(c.f_vector())).derivative() == total
 
 
 def test_join_property_e():
