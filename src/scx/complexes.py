@@ -16,18 +16,23 @@ vector ``(1,)``.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination. A complex builds its
-derived tables (the face set, the minimal non-faces and the fine coefficient
-table that the Eulerian checks and the fine series share) on first use and
-keeps them for its lifetime; nothing is cached at module level.
+derived tables on first use and keeps them for its lifetime; nothing is
+cached at module level. One walk over the facets' submasks gives the cover,
+every face with the number of facets that contain it: its keys are the face
+set and the f-vector, and its shared faces (those in two facets or more) are
+all the fine coefficient table needs, which the Eulerian checks and the fine
+series share. The minimal non-faces are built from the face set.
 """
 
 from __future__ import annotations
 
 import random as _random
 from bisect import bisect_left
+from collections import Counter
+from collections.abc import KeysView
 from functools import cached_property
-from itertools import combinations, product
-from typing import Iterable, Iterator
+from itertools import chain, combinations, product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateVertexInFacet,
@@ -57,10 +62,10 @@ __all__ = [
 ]
 
 
-# The most faces face_mask_set may build, checked against the cheap upper bound
-# sum over facets of 2^|F| before any face is built. On 64-bit CPython 3.11 a
-# face costs about 96 bytes in the finished set (128 while it is built), so a
-# full budget holds about 0.4 GB. The generators hold the vertex entries of
+# The most faces the cover may count, checked against the cheap upper bound
+# sum over facets of 2^|F| before any face is counted. On 64-bit CPython 3.11 a
+# face costs 72-91 bytes in the finished cover (up to 121 while it grows), so
+# a full budget holds about 0.4 GB. The generators hold the vertex entries of
 # the facet lists they build to the same number.
 FACE_BUDGET = 1 << 22
 
@@ -71,6 +76,16 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _submasks(mask: int) -> list[int]:
+    """Every submask of mask: each set bit in turn joins all the submasks so far."""
+    subs = [0]
+    while mask:
+        low = mask & -mask
+        subs += [s | low for s in subs]
+        mask ^= low
+    return subs
 
 
 def _check_label(raw) -> str:
@@ -154,27 +169,28 @@ class SimplicialComplex:
     # -- faces --------------------------------------------------------------
 
     @cached_property
-    def face_mask_set(self) -> frozenset[int]:
-        """Every face as a bitmask, the empty face included (empty for void).
+    def _cover(self) -> Counter[int]:
+        """Every face mask, the empty face included, with m(sigma), the number
+        of facets that contain it (empty for void).
 
-        Raises TooLarge, before building anything, when the facets could
-        hold more than FACE_BUDGET faces.
+        One walk over each facet's submasks counts them. Raises TooLarge,
+        before counting anything, when the facets could hold more than
+        FACE_BUDGET faces.
         """
         if self.is_void:
-            return frozenset()
+            return Counter()
         bound = sum(1 << m.bit_count() for m in self.facet_masks)
         if bound > FACE_BUDGET:
             raise TooLarge(f"the facets bound the face count by {bound}, "
                            f"over the face budget of {FACE_BUDGET}")
-        faces: set[int] = set()
-        for facet in self.facet_masks:
-            sub = facet
-            while True:  # standard submask walk over one facet's power set
-                faces.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & facet
-        return frozenset(faces)
+        return Counter(chain.from_iterable(map(_submasks, self.facet_masks)))
+
+    @cached_property
+    def face_mask_set(self) -> KeysView[int]:
+        """Every face as a bitmask, the empty face included (empty for void):
+        the cover's keys, a read-only set-like view, built once and never copied.
+        Raises TooLarge as the cover does."""
+        return self._cover.keys()
 
     @cached_property
     def _minimal_nonface_masks(self) -> tuple[int, ...]:
@@ -187,24 +203,36 @@ class SimplicialComplex:
 
     @cached_property
     def _fine_terms(self) -> dict[int, int]:
-        """Nonzero fine coefficients c_tau by face mask, via a signed superset-sum transform.
+        """Nonzero fine coefficients c_tau by face mask, from the shared faces alone.
 
-        c starts at 1 on every face; the pass for vertex v subtracts c(m) from
-        c(m minus v) for each face m holding v, leaving c(tau) = sum over faces
-        sigma containing tau of (-1)^(|sigma| - |tau|) with no sign to fix. A
-        pass reads only faces holding v and writes only faces without it, so it
-        may update values while it iterates, and it starts at 2^v in the sorted
-        faces, since no smaller mask holds v. That is O(n * #faces) steps and
-        sum over faces of |sigma| subtractions. The build holds one dict and one
-        sorted list of the faces; zero terms are deleted in place.
+        c_tau is the sum over faces sigma containing tau of (-1)^(|sigma| - |tau|).
+        Split each 1 as m(sigma) - (m(sigma) - 1), with m(sigma) the facets
+        containing sigma: the first parts sum, facet by facet, over whole
+        intervals [tau, F], to 1 when tau is a facet and 0 otherwise. So
+        c_tau = [tau is a facet] + sum over shared sigma containing tau of
+        (-1)^(|sigma| - |tau|) (1 - m(sigma)), where the shared faces S are
+        those with m >= 2. S is closed downward, so c is 0 off S and the
+        facets.
+
+        The sum is a signed superset-sum transform over S: c starts at
+        1 - m(sigma), and the pass for vertex v subtracts c(m) from c(m minus v)
+        for each shared m holding v. A pass reads only masks holding v and
+        writes only masks without it, so it may update values while it
+        iterates, and it starts at 2^v in the sorted shared faces, since no
+        smaller mask holds v. That is O(n * |S|) steps after the cover walk.
+        Each facet then adds its 1, which keeps the table right even for
+        facet masks that are no antichain. The build holds one dict and one
+        sorted list of S; zero terms are deleted in place.
         """
-        order = sorted(self.face_mask_set)
-        c = dict.fromkeys(order, 1)
+        c = {m: 1 - k for m, k in self._cover.items() if k > 1}
+        order = sorted(c)
         for v in range(self.n):
             bit = 1 << v
             for m in order[bisect_left(order, bit):]:
                 if m & bit:
                     c[m ^ bit] -= c[m]
+        for m in self.facet_masks:
+            c[m] = c.get(m, 0) + 1
         for m in [m for m, x in c.items() if not x]:
             del c[m]
         # a dict keeps its table after deletions: copy it when most faces dropped
@@ -251,12 +279,12 @@ class SimplicialComplex:
     @cached_property
     def _face_counts(self) -> tuple[int, ...]:
         counts = [0] * (max(m.bit_count() for m in self.facet_masks) + 1)
-        for m in self.face_mask_set:
+        for m in self._cover:
             counts[m.bit_count()] += 1
         return tuple(counts)
 
     def f_vector(self) -> FVector:
-        """Exact face counts (f_-1, ..., f_{d-1}), by enumerating every face."""
+        """Exact face counts (f_-1, ..., f_{d-1}), by counting every face of the cover."""
         self._require_faces()
         return FVector(self._face_counts)
 
@@ -334,9 +362,22 @@ def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
     nonzero. That is O(m * |F|) word operations on m distinct masks of at
     most |F| vertices, with words as long as the kept list, instead of m^2
     pairwise subset tests.
+
+    A facet given as a list or tuple of plain, distinct labels is checked
+    whole: it must be its own split, word for word. Any other facet, and any
+    that fails, goes through the label rule one label at a time, which names
+    the fault.
     """
-    normalized: list[list[str]] = []
+    normalized: list[Sequence[str]] = []
     for facet in facets:
+        if facet.__class__ is list or facet.__class__ is tuple:
+            try:
+                plain = " ".join(facet).split() == list(facet) and len(set(facet)) == len(facet)
+            except TypeError:  # a label that is no string
+                plain = False
+            if plain:
+                normalized.append(facet)
+                continue
         seen: list[str] = []
         for raw in facet:
             label = _check_label(raw)

@@ -151,10 +151,13 @@ def fine_e_polynomial(c: SimplicialComplex) -> FineEPolynomial:
     """Expand sum over faces of prod (exp(x_i) - 1) into subset coefficients.
 
     The coefficient of subset tau is the signed count of faces above it:
-    sum over faces sigma containing tau of (-1)^(|sigma| - |tau|), found in
-    O(n * #faces) steps. On a face it is 1 - chi_top(link of tau). The
-    polynomial shares the complex's fine table, which the complex builds on
-    first use (or already built for is_eulerian) and keeps for its lifetime.
+    sum over faces sigma containing tau of (-1)^(|sigma| - |tau|). It is 1 on
+    a facet and 0 on a face in exactly one facet that is not the facet, so
+    only the shared faces S (those in two facets or more) need a transform:
+    the cover walk plus O(n * |S|) steps. On a face it is 1 - chi_top(link
+    of tau). The polynomial shares the complex's fine table, which the
+    complex builds on first use (or already built for is_eulerian) and keeps
+    for its lifetime.
     """
     c._require_faces()
     return FineEPolynomial(c.labels, c.dimension() + 1, c._fine_terms, c._index)
@@ -180,32 +183,68 @@ def taylor_coefficient(p: FineEPolynomial, a: Sequence[int]) -> int:
     return p._superset_sums.get(_support_mask(p.n, a), 0)
 
 
+def _tail(a: int, x: float) -> tuple[int, float]:
+    """(sign, log |t|) of the tail t = sum_{k >= a} x^k / k! of exp(x), without cancellation.
+
+    With |x| <= a the terms fall from the first, so t = x^a / a! times
+    sum_j x^j a! / (a + j)!, a sum near 1. Otherwise t = exp(x) - head, where
+    the head sum_{k < a} x^k / k! is x^(a-1) / (a-1)! times sum_j (a-1)...(a-j) / x^j,
+    whose terms fall from the first too; for x > a the head is less than
+    exp(x), and for x < -a it is larger in size, so neither term cancels the other.
+    """
+    if a == 0:
+        return 1, x
+    if x == 0:
+        return 0, -math.inf
+    log_x = math.log(abs(x))
+    negative = x < 0  # then x^k is negative exactly when k is odd
+    if abs(x) <= a:
+        total = term = 1.0
+        j = a
+        while abs(term) > 1e-17 * total:
+            j += 1
+            term *= x / j
+            total += term
+        return (-1 if negative and a % 2 else 1), a * log_x - math.lgamma(a + 1) + math.log(total)
+    total = term = 1.0
+    for k in range(a - 1, 0, -1):
+        term *= k / x
+        total += term
+        if abs(term) <= 1e-17 * total:
+            break
+    log_head = (a - 1) * log_x - math.lgamma(a) + math.log(total) if a > 1 else 0.0
+    if x > 0:
+        return 1, x + math.log1p(-math.exp(log_head - x))
+    head_sign = -1 if negative and (a - 1) % 2 else 1
+    return -head_sign, log_head + math.log1p(-head_sign * math.exp(x - log_head))
+
+
 def free_module_series_eval(a: Sequence[int], x: Sequence[float]) -> float:
     """Closed form of the exponential series of the free module generated in degree a.
 
-    Evaluates prod_i (exp(x_i) - sum_{k < a_i} x_i^k / k!) numerically. An
-    exp overflow is reported as infinity rather than raised; TooLarge is
-    raised where the doubles meet as inf - inf or 0 * inf.
+    Evaluates prod_i (exp(x_i) - sum_{k < a_i} x_i^k / k!) numerically. Each
+    factor is the tail sum_{k >= a_i} x_i^k / k! of exp(x_i), taken as a sign
+    and a log-magnitude without cancellation, and the factors combine by
+    adding their logs, so a factor beyond the double range may meet one that
+    brings it back. A value beyond the range is infinity of its sign, or 0.0;
+    TooLarge is raised where an infinite x_i meets a zero factor (0 * inf)
+    or an x_i is nan.
     """
     if len(a) != len(x):
         raise DimensionMismatch(f"degree length {len(a)} != point length {len(x)}")
-    value = 1.0
+    sign, log_value = 1, 0.0
     for ai, xi in zip(a, x):
         if not isinstance(ai, int) or ai < 0:
             raise InvalidParameter(f"multidegree entries must be nonnegative integers, got {ai!r}")
-        xi = float(xi)
-        try:
-            expo = math.exp(xi)
-        except OverflowError:
-            expo = math.inf
-        head, term = 0.0, 1.0
-        for k in range(1, ai + 1):
-            head += term
-            term *= xi / k
-        value *= expo - head
-    if math.isnan(value):
-        raise TooLarge(f"the closed form at {tuple(x)} leaves the double range (inf - inf or 0 * inf)")
-    return value
+        factor_sign, factor_log = _tail(ai, float(xi))
+        sign *= factor_sign
+        log_value += factor_log
+    if math.isnan(log_value):
+        raise TooLarge(f"the closed form at {tuple(x)} is undefined in doubles (0 * inf, or nan)")
+    try:
+        return sign * math.exp(log_value)
+    except OverflowError:
+        return sign * math.inf
 
 
 def evaluate_coarse(e, t: float) -> float:

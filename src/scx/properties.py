@@ -132,16 +132,19 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     1 - chi_top(link of sigma), must be (-1)^(d - |sigma|). The coefficients
     come from the complex's fine table, built on first use and shared with
     fine_e_polynomial. The witness names the first failing face in the
-    complex's listing order, by size, then labels."""
+    complex's listing order, by size, then labels: only the faces of the
+    smallest failing size are listed."""
     c._require_faces()
     if not c.is_pure():
         return Verdict(False, "not pure")
     d = c.dimension() + 1
     table = c._fine_terms
     wanted = [_sign(d - k) for k in range(d + 1)]
-    failing = [m for m in c.face_mask_set if m and table.get(m, 0) != wanted[m.bit_count()]]
-    if not failing:
+    faces = c.face_mask_set
+    size = min((m.bit_count() for m in faces if m and table.get(m, 0) != wanted[m.bit_count()]), default=0)
+    if not size:
         return Verdict(True)
+    failing = [m for m in faces if m.bit_count() == size and table.get(m, 0) != wanted[size]]
     face, sigma = _listed(c.labels, failing)[0]  # chi_top(link) = 1 - c_sigma
     return Verdict(False, f"face {{{' '.join(face)}}}: link chi_top={1 - table.get(sigma, 0)}, "
                           f"want {1 - wanted[len(face)]}")

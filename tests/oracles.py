@@ -1,7 +1,9 @@
 """Hand-rolled reference computations, deliberately independent of the library
-paths they cross-check."""
+paths they cross-check. They read a complex only through its labels and
+facet masks, and build their own faces from those."""
 
 import math
+from decimal import Decimal, localcontext
 from itertools import combinations
 
 from scx import bit_indices
@@ -9,6 +11,25 @@ from scx import bit_indices
 _FACT = [1.0]
 for _k in range(1, 80):
     _FACT.append(_FACT[-1] * _k)
+
+
+def faces_of(c):
+    """Every face mask of c, the empty face included: each subset of each
+    facet's vertices, by itertools.combinations."""
+    faces = set()
+    for facet in c.facet_masks:
+        vertices = [v for v in range(c.n) if facet >> v & 1]
+        for k in range(len(vertices) + 1):
+            faces.update(sum(1 << v for v in combo) for combo in combinations(vertices, k))
+    return faces
+
+
+def f_vector_of(c):
+    """Face counts by size, (f_-1, f_0, ...), from faces_of."""
+    counts = [0] * (max(m.bit_count() for m in c.facet_masks) + 1)
+    for m in faces_of(c):
+        counts[m.bit_count()] += 1
+    return tuple(counts)
 
 
 def antichain_families(universe_size):
@@ -43,7 +64,7 @@ def h_by_monomial_counting(c):
     (1-t)^d, and reads off the numerator coefficients. Also asserts that the
     numerator really terminates at degree d.
     """
-    sizes = [m.bit_count() for m in c.face_mask_set]
+    sizes = [m.bit_count() for m in faces_of(c)]
     d = max(sizes)
 
     def dim_at(k):
@@ -76,15 +97,36 @@ def truncated_free_module_sum(a, x, order):
     return rec(0, order)
 
 
+def free_module_by_decimal(a, x, digits=1200):
+    """prod_i (exp(x_i) - sum_{k < a_i} x_i^k / k!) in decimal arithmetic with
+    `digits` significant digits, rounded once to a double at the end.
+
+    Each x_i is read exactly and exp is correctly rounded, so the digits the
+    subtraction cancels come out of the spare ones: with the default, a factor
+    keeps its double precision while it is above 1e-1100 times exp(x_i).
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        value = Decimal(1)
+        for ai, xi in zip(a, x):
+            xd = Decimal(xi)
+            head, term = Decimal(0), Decimal(1)
+            for k in range(1, ai + 1):
+                head += term
+                term = term * xd / k
+            value *= xd.exp() - head
+        return float(value)
+
+
 def coarse_series_direct(c, t):
     """sum over faces of (exp(t) - 1)^|face|, straight from the definition."""
     y = math.exp(t) - 1.0
-    return sum(y ** m.bit_count() for m in c.face_mask_set)
+    return sum(y ** m.bit_count() for m in faces_of(c))
 
 
 def closed_under_subsets(c):
     """Brute-force closure check: dropping any vertex from a face gives a face."""
-    faces = c.face_mask_set
+    faces = faces_of(c)
     for m in faces:
         for v in bit_indices(m):
             if (m ^ (1 << v)) not in faces:
@@ -98,7 +140,7 @@ def connected_bfs(c):
     if n <= 1:
         return True
     adjacency = {i: set() for i in range(n)}
-    for m in c.face_mask_set:
+    for m in faces_of(c):
         if m.bit_count() == 2:
             i, j = bit_indices(m)
             adjacency[i].add(j)
@@ -138,7 +180,7 @@ def eulerian_by_link_sums(c):
     if not c.is_pure():
         return False, "not pure"
     d = c.dimension() + 1
-    faces = c.face_mask_set
+    faces = faces_of(c)
     for sigma in sorted(faces, key=lambda m: (m.bit_count(), c._labels_of_mask(m))):
         if sigma == 0:
             continue
@@ -159,7 +201,7 @@ def eulerian_sphere_by_link_sums(c):
     if not ok:
         return ok, witness
     d = c.dimension() + 1
-    chi_top = sum((-1) ** (m.bit_count() - 1) for m in c.face_mask_set if m)
+    chi_top = sum((-1) ** (m.bit_count() - 1) for m in faces_of(c) if m)
     want = 1 + (-1) ** (d - 1)
     if chi_top != want:
         return False, f"chi_top={chi_top}, want {want} for a sphere"
@@ -170,7 +212,7 @@ def fine_terms_by_submask_walk(c):
     """Nonzero fine coefficients as sorted (labels, coeff) pairs, expanding
     prod over i in sigma of (exp(x_i) - 1) for every face by walking its subsets."""
     terms = {}
-    for face in c.face_mask_set:
+    for face in faces_of(c):
         size = face.bit_count()
         sub = face
         while True:
@@ -181,6 +223,20 @@ def fine_terms_by_submask_walk(c):
     out = [(c._labels_of_mask(m), x) for m, x in terms.items() if x]
     out.sort(key=lambda item: (len(item[0]), item[0]))
     return out
+
+
+def fine_terms_by_zeta(c):
+    """Nonzero fine coefficients by face mask, by the signed superset-sum
+    transform over every face: c starts at 1 on each face, and the pass for
+    vertex v subtracts c(m) from c(m minus v) for each face m holding v."""
+    order = sorted(faces_of(c))
+    table = dict.fromkeys(order, 1)
+    for v in range(c.n):
+        bit = 1 << v
+        for m in order:
+            if m & bit:
+                table[m ^ bit] -= table[m]
+    return {m: x for m, x in table.items() if x}
 
 
 def maximal_masks_by_pairs(masks):

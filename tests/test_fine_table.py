@@ -1,6 +1,6 @@
 """The fine coefficient table, the Eulerian checks read off it and the lazy
 superset-sum table behind taylor_coefficient, against the brute-force link
-sums, subset walks and term scans of oracles.py."""
+sums, subset walks, the all-faces zeta kernel and the term scans of oracles.py."""
 
 import io
 import random
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scx import (
+    SimplicialComplex,
     bit_indices,
     boundary_simplex,
     check_weak_property_e,
@@ -34,7 +35,9 @@ from scx.hilbert import FineEPolynomial
 from oracles import (
     eulerian_by_link_sums,
     eulerian_sphere_by_link_sums,
+    f_vector_of,
     fine_terms_by_submask_walk,
+    fine_terms_by_zeta,
     superset_sum_by_term_scan,
 )
 
@@ -92,6 +95,67 @@ def test_fine_table_matches_submask_walk_on_drawn_complexes(c):
     assert fine_e_polynomial(c).sorted_terms() == fine_terms_by_submask_walk(c)
 
 
+def test_fine_table_matches_the_zeta_kernel_on_corpus5(corpus5):
+    for c in corpus5:
+        assert c._fine_terms == fine_terms_by_zeta(c), c
+        assert tuple(c.f_vector()) == f_vector_of(c), c
+
+
+def _large_families():
+    # the benchmark's shapes: spheres, full simplices, a join and a suspension
+    spheres = [cross_polytope(6), cross_polytope(7), boundary_simplex(9), boundary_simplex(10),
+               cross_polytope(3).join(boundary_simplex(4)), boundary_simplex(7).suspension()]
+    return [(c, True) for c in spheres] + [(full_simplex(10), False), (full_simplex(12), False)]
+
+
+def test_fine_table_matches_the_zeta_kernel_on_large_families():
+    for c, sphere in _large_families():
+        assert c._fine_terms == fine_terms_by_zeta(c), c
+        assert tuple(c.f_vector()) == f_vector_of(c), c
+        report = classify(c)
+        assert (report.property_e, report.eulerian, report.eulerian_sphere) == (sphere,) * 3, c
+        if not sphere:  # the oracle stops at the first vertex; on spheres it would sum F^2 terms
+            v = is_eulerian(c)
+            assert (v.ok, v.witness) == eulerian_by_link_sums(c), c
+
+
+wider_complexes = st.lists(st.frozensets(st.integers(1, 12), min_size=1, max_size=7),
+                           min_size=1, max_size=12).map(from_facets)
+
+
+@given(wider_complexes)
+def test_fine_table_matches_the_zeta_kernel_on_drawn_complexes(c):
+    assert c._fine_terms == fine_terms_by_zeta(c)
+    assert tuple(c.f_vector()) == f_vector_of(c)
+
+
+def _terms_by_labels(c):
+    return {frozenset(c.labels[i] for i in bit_indices(m)): x for m, x in c._fine_terms.items()}
+
+
+@given(drawn_complexes, st.permutations(range(1, 9)))
+def test_relabelling_permutes_the_table(c, perm):
+    # both kernels run in bit order, and "w<k>" sorts as k does, so the bits move
+    rename = {str(v): f"w{k}" for v, k in zip(range(1, 9), perm)}
+    moved = from_facets([[rename[lab] for lab in f] for f in c.facets()])
+    assert _terms_by_labels(moved) == {frozenset(rename[lab] for lab in s): x
+                                       for s, x in _terms_by_labels(c).items()}
+    assert moved.f_vector() == c.f_vector()
+    assert (sorted((len(s), x) for s, x in fine_e_polynomial(moved).sorted_terms())
+            == sorted((len(s), x) for s, x in fine_e_polynomial(c).sorted_terms()))
+    before, after = classify(c).to_dict(), classify(moved).to_dict()
+    named_before, named_after = before.pop("witness"), after.pop("witness")
+    assert before == after
+    # a witness that names a face may name another of the same size: the first in the new order
+    v = is_eulerian(moved)
+    assert v.ok == is_eulerian(c).ok
+    assert (v.ok, v.witness) == eulerian_by_link_sums(moved)
+    if named_before and named_before.startswith("face "):
+        assert len(named_after.split("}")[0].split()) == len(named_before.split("}")[0].split())
+    else:
+        assert named_after == named_before
+
+
 # vertices 1..8 may or may not occur in a drawn complex; the rest are no labels
 label_like = st.one_of(st.integers(0, 9), st.integers(0, 9).map(str), st.booleans(), st.floats(0, 9),
                        st.sampled_from([" 1", "1 2", "\t", "", "1.0"]))
@@ -122,6 +186,13 @@ def test_coefficient_decodes_labels_as_the_complex_does(c, x):
 def test_fine_table_edge_cases(facets):
     c = from_facets(facets)
     assert fine_e_polynomial(c).sorted_terms() == fine_terms_by_submask_walk(c)
+
+
+def test_fine_table_of_facet_masks_that_are_no_antichain():
+    # the constructor takes the masks as given: {1} below {1, 2} is one more facet, not a new face
+    for masks in ((1, 3), (3, 1, 2), (0, 1), (5, 6, 7)):
+        c = SimplicialComplex(("1", "2", "3"), masks)
+        assert c._fine_terms == fine_terms_by_zeta(c), masks
 
 
 def test_void_complex_has_no_fine_table():

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scx import boundary_simplex, cross_polytope, from_facets, parse_facet_text
 from oracles import maximal_masks_by_pairs
@@ -92,3 +92,25 @@ def test_facet_text_round_trip(raw):
 @given(facet_lists)
 def test_from_facets_equals_the_pairwise_filter(raw):
     _assert_matches_oracle(raw)
+
+
+label_values = st.one_of(st.sampled_from(["a", "b", "10", "a b", ""]), st.text(max_size=3),
+                         st.integers(0, 3), st.booleans(), st.none())
+
+
+def _outcome(facets):
+    try:
+        c = from_facets(facets)
+    except Exception as exc:  # a refusal must be the same error with the same message
+        return type(exc), str(exc)
+    return c.labels, c.facet_masks
+
+
+@given(st.lists(st.lists(label_values, max_size=4), max_size=5))
+@example([["a b", ""]])  # as many words as labels, but not the same ones
+@example([["a", "b", "a"]])
+def test_whole_facet_check_agrees_with_the_label_rule(raw):
+    # lists and tuples are checked whole; an iterator takes the rule label by label
+    want = _outcome([iter(f) for f in raw])
+    assert _outcome(raw) == want
+    assert _outcome([tuple(f) for f in raw]) == want

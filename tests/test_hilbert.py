@@ -32,7 +32,9 @@ from scx import (
     taylor_coefficient,
     whiskered_cycle,
 )
-from oracles import coarse_series_direct, truncated_free_module_sum
+from hypothesis import given, strategies as st
+
+from oracles import coarse_series_direct, free_module_by_decimal, truncated_free_module_sum
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]
 
@@ -233,8 +235,44 @@ def test_free_module_eval_builds_each_term_from_the_last():
     # 200! and (1e200)^2 are beyond the double range; x^k / k! need not be
     assert abs(free_module_series_eval((200,), (1.0,))) < 1e-15
     assert free_module_series_eval((3,), (-1e200,)) == -math.inf
+    assert free_module_series_eval((3,), (1e200,)) == math.inf  # exp(x) wins over x^2/2
+
+
+@pytest.mark.parametrize("a, x", [
+    ((200,), (1.0,)),              # 1/200! and more: below the doubles, never negative
+    ((200, 0), (1.0, 800.0)),      # ... yet a factor exp(800) lifts it to about 3e-28
+    ((3,), (1e-5,)),               # about 1.7e-16, where the head cancels every digit
+    ((0, 0), (-1000.0, 1000.0)),   # exp(-1000) * exp(1000) = 1, though each factor leaves the doubles
+    ((2, 5), (-3.5, 40.0)),
+    ((7,), (-2.0,)), ((7,), (-7.0,)), ((7,), (-7.5,)), ((7,), (-60.0,)),
+    ((1,), (-800.0,)), ((4,), (-800.0,)), ((30,), (29.5,)), ((30,), (31.0,)), ((1,), (1e-300,)),
+])
+def test_free_module_eval_keeps_its_digits(a, x):
+    want = free_module_by_decimal(a, x)
+    got = free_module_series_eval(a, x)
+    assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+    assert got >= 0 or want < 0
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.floats(-100, 100)), min_size=1, max_size=3))
+def test_free_module_eval_matches_the_decimal_reference(pairs):
+    a, x = zip(*pairs)
+    want = free_module_by_decimal(a, x)
+    assert math.isclose(free_module_series_eval(a, x), want, rel_tol=1e-10, abs_tol=1e-300)
+
+
+def test_free_module_eval_meets_infinity():
+    # an infinite point gives infinity of the tail's sign; against a zero factor it is 0 * inf
+    assert free_module_series_eval((0, 2), (math.inf, 1.0)) == math.inf
+    assert free_module_series_eval((2,), (-math.inf,)) == math.inf
+    assert free_module_series_eval((3,), (-math.inf,)) == -math.inf
+    assert free_module_series_eval((1,), (-math.inf,)) == -1.0
+    assert free_module_series_eval((0,), (-math.inf,)) == 0.0
+    assert free_module_series_eval((2, 1), (0.0, 5.0)) == 0.0
     with pytest.raises(TooLarge):
-        free_module_series_eval((3,), (1e200,))  # exp(x) - x^2/2 is inf - inf
+        free_module_series_eval((2, 0), (0.0, math.inf))
+    with pytest.raises(TooLarge):
+        free_module_series_eval((1,), (math.nan,))
 
 
 def test_free_module_eval_validation():
