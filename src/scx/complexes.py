@@ -5,8 +5,9 @@ labels are arbitrary whitespace-free tokens; internally they map to dense
 indices 0..n-1 in sorted label order and every face is an integer bitmask
 over those indices, so subset tests and power-set walks are single-word
 operations at the sizes this library targets (a few dozen vertices). This
-module owns that format: ``_mask_of`` reads a collection of labels by the one
-label rule, and ``_listed`` lists masks in the one order, by size, then labels.
+module owns that format: the constructor keeps the facet masks a sorted
+antichain, ``_mask_of`` reads a collection of labels by the one label rule,
+and ``_listed`` lists masks in the one order, by size, then labels.
 
 Two degenerate complexes are kept apart deliberately: the *void* complex has
 no faces at all, not even the empty one, and every counting operation rejects
@@ -17,11 +18,11 @@ vector ``(1,)``.
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination. A complex builds its
 derived tables on first use and keeps them for its lifetime; nothing is
-cached at module level. One walk over the facets' submasks gives the cover,
-every face with the number of facets that contain it: its keys are the face
-set and the f-vector, and its shared faces (those in two facets or more) are
-all the fine coefficient table needs, which the Eulerian checks and the fine
-series share. The minimal non-faces are built from the face set.
+cached at module level. Membership and links read the facets alone. One
+walk over the facets' submasks gives the cover, every face with the number
+of facets that contain it: its keys are the face set, which gives the
+f-vector and the minimal non-faces, and its shared faces (in two facets or
+more) are all the fine table needs, for the Eulerian checks and the series.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import random as _random
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import KeysView
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations, product
-from typing import Iterable, Iterator, Sequence
+from operator import lt, or_
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateVertexInFacet,
@@ -124,17 +126,47 @@ def _listed(labels: tuple[str, ...], masks: Iterable[int]) -> list[tuple[tuple[s
 class SimplicialComplex:
     """Immutable complex; build one with :func:`from_facets` or a generator below.
 
-    ``labels`` maps dense vertex indices to their string labels (sorted), and
-    ``facet_masks`` holds the maximal faces as bitmasks over those indices,
-    an antichain by construction; no facets at all is the void complex.
-    Equality is structural.
+    ``labels`` maps dense vertex indices to their string labels, strictly
+    increasing, and ``facet_masks`` holds the maximal faces as sorted bitmasks
+    over those indices; no facets at all is the void complex. Equality is
+    structural. The constructor owns the antichain: it takes any masks that
+    cover exactly the labels, else raises InvalidParameter, and keeps each
+    maximal one once, so the facets answer every query they can. It finds
+    dominated masks largest first with one bitset per vertex, bit j set when
+    the j-th mask kept holds the vertex: a mask is dominated exactly when the
+    AND of its vertices' bitsets is nonzero. On m distinct masks of at most
+    |F| vertices that is O(m * |F|) word operations, not m^2 subset tests.
     """
 
-    def __init__(self, labels: tuple[str, ...], facet_masks: tuple[int, ...]):
+    def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
+        labels = tuple(labels)
+        try:  # one OR tells a negative mask, a bit past the labels and an unheld label
+            masks = set(facet_masks)
+            ok = reduce(or_, masks, 0) == (1 << len(labels)) - 1 and all(map(lt, labels, labels[1:]))
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InvalidParameter("facet masks must cover exactly the strictly increasing labels")
+        # every mask kept before m is at least as large as m and differs from it,
+        # so a kept mask holding all of m's vertices is a strict superset of m
+        above = [0] * len(labels)  # bit j of above[v]: the j-th kept mask holds v
+        kept: list[int] = []
+        for m in sorted(masks, key=int.bit_count, reverse=True):
+            vertices = list(bit_indices(m))
+            common = -1 if kept else 0  # -1 stands for every kept mask, so [] drops
+            for v in vertices:
+                common &= above[v]
+                if not common:
+                    break
+            if not common:
+                bit = 1 << len(kept)
+                for v in vertices:
+                    above[v] |= bit
+                kept.append(m)
         self.labels = labels
-        self.facet_masks = facet_masks
+        self.facet_masks = tuple(sorted(kept))
         # a plain attribute, not a property: the void guard runs on every query
-        self.is_void = not facet_masks
+        self.is_void = not kept
 
     # -- identity ---------------------------------------------------------
 
@@ -220,8 +252,8 @@ class SimplicialComplex:
         writes only masks without it, so it may update values while it
         iterates, and it starts at 2^v in the sorted shared faces, since no
         smaller mask holds v. That is O(n * |S|) steps after the cover walk.
-        Each facet then adds its 1, which keeps the table right even for
-        facet masks that are no antichain. The build holds one dict and one
+        The facets form an antichain, so none of them is shared, and each
+        one's coefficient is set to 1. The build holds one dict and one
         sorted list of S; zero terms are deleted in place.
         """
         c = {m: 1 - k for m, k in self._cover.items() if k > 1}
@@ -231,8 +263,7 @@ class SimplicialComplex:
             for m in order[bisect_left(order, bit):]:
                 if m & bit:
                     c[m ^ bit] -= c[m]
-        for m in self.facet_masks:
-            c[m] = c.get(m, 0) + 1
+        c.update(dict.fromkeys(self.facet_masks, 1))
         for m in [m for m, x in c.items() if not x]:
             del c[m]
         # a dict keeps its table after deletions: copy it when most faces dropped
@@ -249,13 +280,13 @@ class SimplicialComplex:
 
     def has_face(self, face: Iterable) -> bool:
         """Is ``face``, a collection of labels read by the one label rule, a face?
-        An unknown label answers False; a malformed one raises InvalidLabel."""
+        From the facets; an unknown label answers False, a malformed one raises InvalidLabel."""
         self._require_faces()
         try:
             mask = _mask_of(self._index, face)
         except FaceNotInComplex:
             return False
-        return mask in self.face_mask_set
+        return any(fm & mask == mask for fm in self.facet_masks)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -305,31 +336,28 @@ class SimplicialComplex:
     def link(self, face: Iterable = ()) -> "SimplicialComplex":
         """Link of a face: faces disjoint from it whose union with it is a face.
 
-        ``face`` is a collection of labels, read as by :meth:`has_face`, and a
-        non-face raises FaceNotInComplex. Returned as a canonical complex over
+        ``face`` is a collection of labels, read as by :meth:`has_face`; a set no
+        facet holds raises FaceNotInComplex. Returned as a canonical complex over
         the surviving vertex labels; the link of the empty face is the complex itself.
         """
         self._require_faces()
         mask = _mask_of(self._index, face)
-        if mask not in self.face_mask_set:
-            raise FaceNotInComplex("{" + " ".join(self._labels_of_mask(mask)) + "} is not a face")
         residues = [fm & ~mask for fm in self.facet_masks if fm & mask == mask]
+        if not residues:
+            raise FaceNotInComplex("{" + " ".join(self._labels_of_mask(mask)) + "} is not a face")
         return from_facets([self._labels_of_mask(m) for m in residues])
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Join: faces are unions of one face from each side.
 
-        Labels get 'L.'/'R.' prefixes to keep the vertex sets disjoint; the
-        facets of the join are the pairwise unions of facets.
+        Labels get 'L.'/'R.' prefixes to keep the vertex sets disjoint, and
+        stay sorted; the facets are the pairwise unions of facet masks.
         """
         self._require_faces()
         other._require_faces()
-        combined = []
-        for a in self.facet_masks:
-            left = tuple("L." + lab for lab in self._labels_of_mask(a))
-            for b in other.facet_masks:
-                combined.append(left + tuple("R." + lab for lab in other._labels_of_mask(b)))
-        return from_facets(combined)
+        labels = tuple("L." + lab for lab in self.labels) + tuple("R." + lab for lab in other.labels)
+        return SimplicialComplex(labels, [a | b << self.n for a in self.facet_masks
+                                          for b in other.facet_masks])
 
     def suspension(self) -> "SimplicialComplex":
         """Join with two isolated points."""
@@ -356,19 +384,12 @@ def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
     whose only face is the empty face; an empty outer list yields the void
     complex. Integer labels are accepted and stored as their decimal strings.
 
-    The dominated facets are found largest first with one bitset per vertex
-    whose bit j marks the j-th facet kept so far that holds the vertex: a
-    mask is dominated exactly when the AND of its vertices' bitsets is
-    nonzero. That is O(m * |F|) word operations on m distinct masks of at
-    most |F| vertices, with words as long as the kept list, instead of m^2
-    pairwise subset tests.
-
     A facet given as a list or tuple of plain, distinct labels is checked
     whole: it must be its own split, word for word. Any other facet, and any
     that fails, goes through the label rule one label at a time, which names
     the fault.
     """
-    normalized: list[Sequence[str]] = []
+    normalized: list[Iterable[str]] = []
     for facet in facets:
         if facet.__class__ is list or facet.__class__ is tuple:
             try:
@@ -378,40 +399,22 @@ def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
             if plain:
                 normalized.append(facet)
                 continue
-        seen: list[str] = []
+        seen: dict[str, None] = {}
         for raw in facet:
             label = _check_label(raw)
             if label in seen:
                 raise DuplicateVertexInFacet(f"vertex {label!r} repeats within a facet")
-            seen.append(label)
+            seen[label] = None
         normalized.append(seen)
-    if not normalized:
-        return SimplicialComplex((), ())
     labels = tuple(sorted({lab for f in normalized for lab in f}))
     index = {lab: i for i, lab in enumerate(labels)}
-    masks = set()
+    masks = []
     for f in normalized:
         m = 0
         for lab in f:
             m |= 1 << index[lab]
-        masks.add(m)
-    # every mask kept before m is at least as large as m and differs from it,
-    # so a kept mask holding all of m's vertices is a strict superset of m
-    above = [0] * len(labels)  # bit j of above[v]: the j-th kept mask holds v
-    kept: list[int] = []
-    for m in sorted(masks, key=int.bit_count, reverse=True):
-        vertices = list(bit_indices(m))
-        common = -1 if kept else 0  # -1 stands for every kept mask, so [] drops
-        for v in vertices:
-            common &= above[v]
-            if not common:
-                break
-        if not common:
-            bit = 1 << len(kept)
-            for v in vertices:
-                above[v] |= bit
-            kept.append(m)
-    return SimplicialComplex(labels, tuple(sorted(kept)))
+        masks.append(m)
+    return SimplicialComplex(labels, masks)
 
 
 def parse_facet_text(text: str) -> SimplicialComplex:
@@ -541,16 +544,13 @@ def enumerate_all_complexes(n: int) -> Iterator[SimplicialComplex]:
     top = 1 << n
     labels = [str(i + 1) for i in range(n)]
 
-    def to_facet(mask: int) -> list[str]:
-        return [labels[i] for i in bit_indices(mask)]
-
     def grow(start: int, chosen: tuple[int, ...]) -> Iterator[SimplicialComplex]:
         for m in range(start, top):
             # m > c for every chosen c, so only containment c within m can occur
             if any(c & m == c for c in chosen):
                 continue
             picked = chosen + (m,)
-            yield from_facets([to_facet(x) for x in picked])
+            yield from_facets([[labels[i] for i in bit_indices(x)] for x in picked])
             yield from grow(m + 1, picked)
 
     yield from grow(1, ())

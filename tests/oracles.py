@@ -6,7 +6,7 @@ import math
 from decimal import Decimal, localcontext
 from itertools import combinations
 
-from scx import bit_indices
+from scx import bit_indices, from_facets
 
 _FACT = [1.0]
 for _k in range(1, 80):
@@ -254,3 +254,25 @@ def superset_sum_by_term_scan(p, mask):
     """Sum of the fine coefficients over every term whose subset contains
     mask, scanning all the terms. O(#terms) per query on purpose."""
     return sum(coeff for m, coeff in p._terms.items() if m & mask == mask)
+
+
+def join_by_labels(a, b):
+    """The join of a and b built through from_facets from prefixed label
+    tuples: every union of one facet from each side, read back as labels."""
+    def named(c, prefix, mask):
+        return tuple(prefix + c.labels[v] for v in range(c.n) if mask >> v & 1)
+
+    return from_facets([named(a, "L.", x) + named(b, "R.", y)
+                        for x in a.facet_masks for y in b.facet_masks])
+
+
+def link_by_faces(c, mask):
+    """(labels, facet masks over c's indices) of the link of the face mask,
+    from faces_of: the faces disjoint from it whose union with it is a face,
+    kept when no other such face contains them. None for a non-face."""
+    faces = faces_of(c)
+    if mask not in faces:
+        return None
+    link = {m for m in faces if not m & mask and m | mask in faces}
+    facets = maximal_masks_by_pairs(link)
+    return tuple(c.labels[v] for v in range(c.n) if any(m >> v & 1 for m in facets)), facets

@@ -105,6 +105,14 @@ def test_series_fine_and_eval(ex3_file):
     assert payload["eval"]["value"] == pytest.approx(expected, rel=1e-15)
 
 
+def test_series_fine_pretty_lists_the_terms(ex3_file):
+    code, out, err = cli(["series", ex3_file, "--fine", "--pretty"])
+    assert (code, err) == (0, "")
+    assert out == ("e = (1, -3, 2, 1)\n"
+                   "c{} = 1\nc{2} = -1\nc{3} = -1\nc{4} = -1\n"
+                   "c{2 4} = 1\nc{3 4} = 1\nc{1 2 3} = 1\n")
+
+
 def test_series_defaults_omit_optional_keys(ex3_file):
     payload = json.loads(cli(["series", ex3_file])[1])
     assert set(payload) == {"e"}
@@ -230,6 +238,7 @@ def test_info_verbs(ex3_file):
     assert "vertices: 4" in pretty
     void_payload = json.loads(cli(["info", "-"], stdin_text="# empty\n")[1])
     assert void_payload["kind"] == "void"
+    assert cli(["info", "-", "--pretty"], stdin_text="# empty\n") == (0, "void complex (no faces)\n", "")
 
 
 # -- exit codes ----------------------------------------------------------------------------------------
@@ -253,6 +262,8 @@ def test_usage_errors_exit_two(ex3_file):
     assert cli(["make", "cycle"])[0] == 2
     assert cli(["join", "-", "-"])[0] == 2
     assert cli(["link", ex3_file, "--face", "1,,2"])[0] == 2
+    assert cli(["oracle", ex3_file, "--max-entry", "-1"]) == (
+        2, "", "scx: usage error: --max-entry must be >= 0\n")
     assert cli([])[0] == 2
 
 

@@ -1,8 +1,11 @@
 """Construction, canonicalization, face enumeration and the generators."""
 
 import random
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scx import (
     DuplicateVertexInFacet,
@@ -13,6 +16,7 @@ from scx import (
     SimplicialComplex,
     TooLarge,
     VoidComplex,
+    bit_indices,
     boundary_simplex,
     cross_polytope,
     cycle,
@@ -25,7 +29,8 @@ from scx import (
     random_complex,
     whiskered_cycle,
 )
-from oracles import antichain_families, closed_under_subsets
+from oracles import (antichain_families, closed_under_subsets, faces_of, join_by_labels,
+                     link_by_faces)
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]  # the running 4-vertex example
 
@@ -92,6 +97,56 @@ def test_from_facets_label_errors():
         from_facets([[None]])
 
 
+def test_constructor_keeps_the_maximal_masks_sorted():
+    c = SimplicialComplex(("1", "2"), (1, 3))
+    assert c.facet_masks == (3,) and c.facets() == (("1", "2"),) and c.is_pure()
+    assert c == from_facets([[1], [1, 2]])
+    twice = SimplicialComplex(["1", "2", "3"], iter([4, 3, 3, 1]))
+    assert twice.facets() == (("1", "2"), ("3",)) and twice.facet_masks == (3, 4)
+    assert twice == from_facets([[3], [1, 2], [2, 1], [1]])
+    assert SimplicialComplex((), [0, 0]) == from_facets([[]])
+    assert SimplicialComplex((), []) == from_facets([])
+
+
+@pytest.mark.parametrize("labels, masks", [
+    (("1", "2"), (-1,)),            # a negative mask
+    (("1", "2"), (3, -4)),
+    (("1", "2"), (1, 4)),           # a bit past the last label
+    (("1", "2", "3"), (3,)),        # a label that no facet holds
+    (("1",), ()),                   # labels, but no facets
+    ((), (1,)),
+    (("2", "1"), (3,)),             # labels out of order
+    (("1", "1"), (3,)),             # a repeated label
+    (("1", 2), (3,)),               # labels that do not compare
+    (("1", "2"), (1.0, 2)),         # a mask that is no integer
+    (("1",), ([1],)),
+])
+def test_constructor_refuses_masks_that_do_not_cover_the_labels(labels, masks):
+    with pytest.raises(InvalidParameter, match="facet masks must cover exactly the strictly"):
+        SimplicialComplex(labels, masks)
+
+
+def test_integer_labels_cost_what_their_strings_cost():
+    # the per-label path checks repeats with a dict, not by scanning the labels so far
+    ints = list(range(1, 20_001))
+    strings = [str(i) for i in ints]
+
+    def best(facet):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            c = from_facets([facet])
+            times.append(time.perf_counter() - start)
+        return min(times), c
+
+    int_time, by_ints = best(ints)
+    str_time, by_strings = best(strings)
+    assert by_ints == by_strings and by_ints.n == 20_000
+    assert int_time < 5 * str_time + 0.5, (int_time, str_time)
+    with pytest.raises(DuplicateVertexInFacet):
+        from_facets([ints + [20_000]])
+
+
 # -- counting ---------------------------------------------------------------------
 
 def test_f_vector_examples():
@@ -147,6 +202,40 @@ def test_link_errors():
         c.link(["9"])           # not even a vertex
 
 
+def test_membership_and_links_read_the_facets():
+    # 2^31 faces, far over the face budget: the facets answer without them
+    big = full_simplex(30)
+    assert big.has_face(["1", "31"]) and big.has_face([]) and not big.has_face(["32"])
+    lk = big.link(["1"])
+    assert lk.labels == tuple(sorted(str(i) for i in range(2, 32))) and lk.is_pure()
+    assert big.link(big.labels) == from_facets([[]])
+    c = from_facets(EX3)
+    assert c.has_face(["2", "3"]) and not c.has_face(["1", "4"])
+    assert c.link(["2"]).facets() == (("1", "3"), ("4",))
+    with pytest.raises(FaceNotInComplex, match=r"\{1 4\} is not a face"):
+        c.link(["4", "1"])
+    for complex_ in (big, c):
+        assert "_cover" not in complex_.__dict__ and "face_mask_set" not in complex_.__dict__
+
+
+def test_membership_and_links_match_the_face_set(corpus4):
+    for c in corpus4:
+        faces = faces_of(c)
+        for mask in range(1 << c.n):
+            face = [c.labels[v] for v in bit_indices(mask)]
+            assert c.has_face(face) == (mask in faces)
+            want = link_by_faces(c, mask)
+            if want is None:
+                with pytest.raises(FaceNotInComplex):
+                    c.link(face)
+                continue
+            labels, facets = want
+            lk = c.link(face)
+            assert lk.labels == labels
+            want_facets = (tuple(c.labels[v] for v in bit_indices(m)) for m in facets)
+            assert sorted(lk.facets()) == sorted(want_facets)
+
+
 def test_a_face_argument_is_a_collection_of_labels():
     c = from_facets([[1, 2], [12, 3]])
     assert c.link(["12"]).facets() == (("3",),)
@@ -172,6 +261,21 @@ def test_vertex_link_face_count_identity(corpus3, random_corpus):
 
 
 # -- join and suspension ------------------------------------------------------------------
+
+drawn_complexes = st.lists(st.lists(st.sampled_from("abcd5"), unique=True, max_size=4),
+                          min_size=1, max_size=6).map(from_facets)
+
+
+@settings(max_examples=300)
+@given(drawn_complexes, drawn_complexes)
+def test_join_builds_from_masks(a, b):
+    # the join never reads labels back: its masks are a | b shifted past a's vertices
+    with mock.patch("scx.complexes.from_facets", side_effect=AssertionError("label round trip")):
+        joined = a.join(b)
+    want = join_by_labels(a, b)
+    assert (joined.labels, joined.facet_masks) == (want.labels, want.facet_masks)
+    assert joined.facets() == want.facets()
+
 
 def test_join_with_empty_complex_relabels_only():
     c = from_facets(EX3)
@@ -236,8 +340,7 @@ def test_face_budget_refuses_before_enumerating(monkeypatch):
 
     # 2^31 possible faces: refused by the bound, without building any face
     big = full_simplex(30)
-    for query in (lambda: big.face_mask_set, big.f_vector, big.faces,
-                  lambda: big.has_face(["1"]), lambda: big.link(["1"])):
+    for query in (lambda: big.face_mask_set, big.f_vector, big.faces):
         with pytest.raises(TooLarge, match=f"2147483648, over the face budget of {complexes.FACE_BUDGET}"):
             query()
     assert big.dimension() == 30 and big.is_pure()

@@ -1,10 +1,15 @@
-"""The antichain filter of from_facets, against the pairwise filter of oracles.py."""
+"""The antichain filter of the constructor, reached directly and through
+from_facets, against the pairwise filter of oracles.py."""
 
 import random
+from functools import reduce
+from operator import or_
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scx import boundary_simplex, cross_polytope, from_facets, parse_facet_text
+from scx import (InvalidParameter, SimplicialComplex, bit_indices, boundary_simplex, cross_polytope,
+                 from_facets, parse_facet_text)
 from oracles import maximal_masks_by_pairs
 
 LABELS = ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "a", "b"]
@@ -92,6 +97,24 @@ def test_facet_text_round_trip(raw):
 @given(facet_lists)
 def test_from_facets_equals_the_pairwise_filter(raw):
     _assert_matches_oracle(raw)
+
+
+masks_over_labels = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=12)))
+
+
+@settings(max_examples=300)
+@given(masks_over_labels)
+def test_constructor_equals_from_facets_and_the_pairwise_filter(drawn):
+    n, masks = drawn
+    labels = tuple("abcdef"[:n])
+    if reduce(or_, masks, 0) != (1 << n) - 1:  # some label in no mask
+        with pytest.raises(InvalidParameter):
+            SimplicialComplex(labels, masks)
+        return
+    c = SimplicialComplex(labels, masks)
+    assert (c.labels, c.facet_masks) == (labels, maximal_masks_by_pairs(masks))
+    assert c == from_facets([[labels[v] for v in bit_indices(m)] for m in masks])
 
 
 label_values = st.one_of(st.sampled_from(["a", "b", "10", "a b", ""]), st.text(max_size=3),

@@ -9,6 +9,8 @@ from scx import (
     HypothesisNotMet,
     IntPolynomial,
     InvalidParameter,
+    LinkIdentityResult,
+    Verdict,
     VoidComplex,
     boundary_simplex,
     check_classical_ds,
@@ -169,6 +171,14 @@ def test_link_identity_examples():
     assert edge.ok and not edge.hypothesis_met   # links are points, vacuous
     with pytest.raises(InvalidParameter):
         check_link_identity(from_facets([[]]))   # no vertices
+
+
+def test_results_are_true_exactly_when_ok():
+    assert bool(is_eulerian(boundary_simplex(3))) and not is_eulerian(full_simplex(2))
+    assert not Verdict(False, "witness") and Verdict(True)
+    assert bool(check_link_identity(cross_polytope(3)))
+    # a vacuous result is ok, and a failed identity is not, whatever the hypothesis says
+    assert LinkIdentityResult(True, False, "vacuous") and not LinkIdentityResult(False, True)
 
 
 def test_derivative_identity(corpus3):

@@ -293,6 +293,13 @@ def test_int_polynomial_arithmetic():
         IntPolynomial((1.5,))
 
 
+def test_int_polynomial_text():
+    assert str(IntPolynomial()) == str(IntPolynomial((0, 0))) == "0"
+    assert str(IntPolynomial((1, -2, 0, 3))) == "1 - 2*t + 3*t^3"
+    assert str(IntPolynomial((-1, 1))) == "-1 + 1*t"
+    assert str(IntPolynomial((0, 0, -5))) == "-5*t^2"
+
+
 def test_shift_poly_examples():
     assert shift_poly(IntPolynomial((1, 4, 5, 1)), -1).coeffs == (1, -3, 2, 1)
     assert shift_poly(IntPolynomial((1,)), 17).coeffs == (1,)
