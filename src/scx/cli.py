@@ -151,7 +151,7 @@ def _cmd_info(args, stdin) -> str:
     payload = {"kind": c.kind, "vertices": c.n, "labels": list(c.labels),
                "facets": [list(f) for f in c.facets()]}
     if not c.is_void:
-        payload |= {"dimension": c.dimension(), "pure": c.is_pure(), "faces": len(c.face_mask_set)}
+        payload |= {"dimension": c.dimension(), "pure": c.is_pure(), "faces": sum(c.f_vector())}
     if not args.pretty:
         return _dump(payload)
     lines = [

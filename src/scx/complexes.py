@@ -13,7 +13,10 @@ Two degenerate complexes are kept apart deliberately: the *void* complex has
 no faces at all, not even the empty one, and every counting operation rejects
 it with :class:`~scx.errors.VoidComplex`; the complex ``{}`` whose only face
 is the empty face is perfectly ordinary, with dimension -1 and face count
-vector ``(1,)``.
+vector ``(1,)``. The rule lives with the faces: the cover raises
+VoidComplex, as do the queries that read the facets first (membership,
+dimension, purity, the f-vector, links and joins), so whatever reads one of
+them first needs no check of its own.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination. A complex builds its
@@ -30,7 +33,6 @@ from __future__ import annotations
 import random as _random
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import KeysView
 from functools import cached_property, reduce
 from itertools import chain, combinations, product
 from operator import lt, or_
@@ -73,7 +75,9 @@ FACE_BUDGET = 1 << 22
 
 
 def bit_indices(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending."""
+    """Indices of the set bits, ascending; InvalidParameter for a negative mask."""
+    if mask < 0:
+        raise InvalidParameter(f"bit_indices needs a nonnegative mask, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -130,23 +134,26 @@ class SimplicialComplex:
     increasing, and ``facet_masks`` holds the maximal faces as sorted bitmasks
     over those indices; no facets at all is the void complex. Equality is
     structural. The constructor owns the antichain: it takes any masks that
-    cover exactly the labels, else raises InvalidParameter, and keeps each
-    maximal one once, so the facets answer every query they can. It finds
-    dominated masks largest first with one bitset per vertex, bit j set when
-    the j-th mask kept holds the vertex: a mask is dominated exactly when the
-    AND of its vertices' bitsets is nonzero. On m distinct masks of at most
-    |F| vertices that is O(m * |F|) word operations, not m^2 subset tests.
+    cover exactly the labels, strings that pass the label rule, else raises
+    InvalidParameter, and keeps each maximal one once, so the facets answer
+    every query they can. It finds dominated masks largest first with one
+    bitset per vertex, bit j set when the j-th mask kept holds the vertex: a
+    mask is dominated exactly when the AND of its vertices' bitsets is
+    nonzero. On m distinct masks of at most |F| vertices that is
+    O(m * |F|) word operations, not m^2 subset tests.
     """
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
         labels = tuple(labels)
         try:  # one OR tells a negative mask, a bit past the labels and an unheld label
             masks = set(facet_masks)
-            ok = reduce(or_, masks, 0) == (1 << len(labels)) - 1 and all(map(lt, labels, labels[1:]))
+            ok = (reduce(or_, masks, 0) == (1 << len(labels)) - 1 and all(map(lt, labels, labels[1:]))
+                  and " ".join(labels).split() == list(labels))  # each label one nonempty word
         except TypeError:
             ok = False
         if not ok:
-            raise InvalidParameter("facet masks must cover exactly the strictly increasing labels")
+            raise InvalidParameter("facet masks must cover exactly the strictly increasing labels, "
+                                   "each a nonempty string without whitespace")
         # every mask kept before m is at least as large as m and differs from it,
         # so a kept mask holding all of m's vertices is a strict superset of m
         above = [0] * len(labels)  # bit j of above[v]: the j-th kept mask holds v
@@ -203,14 +210,13 @@ class SimplicialComplex:
     @cached_property
     def _cover(self) -> Counter[int]:
         """Every face mask, the empty face included, with m(sigma), the number
-        of facets that contain it (empty for void).
+        of facets that contain it (VoidComplex for void): its keys are the face set.
 
         One walk over each facet's submasks counts them. Raises TooLarge,
         before counting anything, when the facets could hold more than
         FACE_BUDGET faces.
         """
-        if self.is_void:
-            return Counter()
+        self._require_faces()
         bound = sum(1 << m.bit_count() for m in self.facet_masks)
         if bound > FACE_BUDGET:
             raise TooLarge(f"the facets bound the face count by {bound}, "
@@ -218,17 +224,10 @@ class SimplicialComplex:
         return Counter(chain.from_iterable(map(_submasks, self.facet_masks)))
 
     @cached_property
-    def face_mask_set(self) -> KeysView[int]:
-        """Every face as a bitmask, the empty face included (empty for void):
-        the cover's keys, a read-only set-like view, built once and never copied.
-        Raises TooLarge as the cover does."""
-        return self._cover.keys()
-
-    @cached_property
     def _minimal_nonface_masks(self) -> tuple[int, ...]:
         # a minimal non-face is one vertex more than some face, and dropping
         # any one of its vertices leaves a face
-        faces = self.face_mask_set
+        faces = self._cover.keys()  # a keys view: a set minus a Counter is a TypeError
         candidates = {face | (1 << v) for face in faces for v in range(self.n)} - faces
         return tuple(sorted(m for m in candidates
                             if all(m ^ (1 << v) in faces for v in bit_indices(m))))
@@ -271,8 +270,7 @@ class SimplicialComplex:
 
     def faces(self) -> list[tuple[str, ...]]:
         """All faces as label tuples, ordered by size then labels."""
-        self._require_faces()
-        return [face for face, _ in _listed(self.labels, self.face_mask_set)]
+        return [face for face, _ in _listed(self.labels, self._cover)]
 
     def facets(self) -> tuple[tuple[str, ...], ...]:
         """The maximal faces as sorted label tuples."""
@@ -361,7 +359,6 @@ class SimplicialComplex:
 
     def suspension(self) -> "SimplicialComplex":
         """Join with two isolated points."""
-        self._require_faces()
         return from_facets([["1"], ["2"]]).join(self)
 
     # -- serialization -------------------------------------------------------------

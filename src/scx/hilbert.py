@@ -107,7 +107,6 @@ def minimal_nonfaces(c: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
 
     A subset of the vertices is a face exactly when it contains none of these.
     """
-    c._require_faces()
     return tuple(subset for subset, _ in _listed(c.labels, c._minimal_nonface_masks))
 
 
@@ -133,9 +132,8 @@ def graded_dimension(c: SimplicialComplex, a: Sequence[int]) -> int:
     divisibility by the minimal non-face monomials; disagreement would be a
     bug and raises InternalInconsistency.
     """
-    c._require_faces()
     support = _support_mask(c.n, a)
-    by_support = support in c.face_mask_set
+    by_support = support in c._cover
     by_divisibility = True
     for nf in c._minimal_nonface_masks:
         if nf & support == nf:
@@ -159,7 +157,6 @@ def fine_e_polynomial(c: SimplicialComplex) -> FineEPolynomial:
     complex builds on first use (or already built for is_eulerian) and keeps
     for its lifetime.
     """
-    c._require_faces()
     return FineEPolynomial(c.labels, c.dimension() + 1, c._fine_terms, c._index)
 
 

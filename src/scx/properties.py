@@ -87,19 +87,16 @@ def _property_e_from(c: SimplicialComplex, first_k: int) -> Verdict:
 
 def check_property_e(c: SimplicialComplex) -> Verdict:
     """Does e_k == (-1)^(d-k) f_{k-1} hold for every 0 <= k <= d?"""
-    c._require_faces()
     return _property_e_from(c, 0)
 
 
 def check_weak_property_e(c: SimplicialComplex) -> Verdict:
     """The same equalities restricted to 1 <= k <= d."""
-    c._require_faces()
     return _property_e_from(c, 1)
 
 
 def check_classical_ds(c: SimplicialComplex) -> Verdict:
     """Classical Dehn-Sommerville: the h-vector is symmetric, h_k == h_{d-k}."""
-    c._require_faces()
     h = f_to_h(c.f_vector())
     d = h.d
     for k in range(d + 1):
@@ -112,7 +109,6 @@ def check_general_ds(c: SimplicialComplex) -> Verdict:
     """General Dehn-Sommerville: h_k - h_{d-k} == (-1)^k C(d,k) * defect for all k,
     where the defect is the (d-1)-sphere Euler characteristic 1 + (-1)^(d-1)
     minus the complex's own chi_top."""
-    c._require_faces()
     h = f_to_h(c.f_vector())
     d = h.d
     _, chi_top = c.euler_characteristics()
@@ -134,13 +130,12 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     fine_e_polynomial. The witness names the first failing face in the
     complex's listing order, by size, then labels: only the faces of the
     smallest failing size are listed."""
-    c._require_faces()
     if not c.is_pure():
         return Verdict(False, "not pure")
     d = c.dimension() + 1
     table = c._fine_terms
     wanted = [_sign(d - k) for k in range(d + 1)]
-    faces = c.face_mask_set
+    faces = c._cover
     size = min((m.bit_count() for m in faces if m and table.get(m, 0) != wanted[m.bit_count()]), default=0)
     if not size:
         return Verdict(True)
@@ -151,17 +146,19 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
 
 
 def _sphere_from(c: SimplicialComplex, eul: Verdict) -> Verdict:
+    # an Eulerian complex has its fine table built; c_empty = 1 - chi_top(c)
     if not eul.ok:
         return eul
-    _, chi_top = c.euler_characteristics()
-    want = 1 + _sign(c.dimension())
-    if chi_top != want:
-        return Verdict(False, f"chi_top={chi_top}, want {want} for a sphere")
+    want = _sign(c.dimension() + 1)
+    c_empty = c._fine_terms.get(0, 0)
+    if c_empty != want:
+        return Verdict(False, f"chi_top={1 - c_empty}, want {1 - want} for a sphere")
     return Verdict(True)
 
 
 def is_eulerian_sphere(c: SimplicialComplex) -> Verdict:
-    """Eulerian, with the global Euler characteristic of a (d-1)-sphere."""
+    """Eulerian, with the global Euler characteristic of a (d-1)-sphere, read
+    as the fine coefficient c_empty = 1 - chi_top, which must be (-1)^d."""
     return _sphere_from(c, is_eulerian(c))
 
 
@@ -173,7 +170,6 @@ def check_link_identity(c: SimplicialComplex) -> LinkIdentityResult:
     of the identity while the hypothesis holds returns False and would point
     at a bug (or a counterexample, which does not exist).
     """
-    c._require_faces()
     d = c.dimension() + 1
     if d < 1:
         raise InvalidParameter("the identity needs at least one vertex")
@@ -219,7 +215,6 @@ def classify(c: SimplicialComplex) -> PropertyReport:
     E, so without it the complex is not Eulerian and the fine table is not
     built. The report is the same either way, since Property E then fails too
     and its witness comes first."""
-    c._require_faces()
     pe = check_property_e(c)
     weak = check_weak_property_e(c)
     cds = check_classical_ds(c)

@@ -74,6 +74,10 @@ def test_from_facets_void():
         v.euler_characteristics()
     with pytest.raises(VoidComplex):
         v.suspension()
+    # the cover carries the rule for faces(); the facet readers check it themselves
+    for query in (v.faces, v.is_pure, lambda: v.has_face([]), lambda: from_facets([[1]]).join(v)):
+        with pytest.raises(VoidComplex):
+            query()
     # no facets at all is the void complex, however it is built
     bare = SimplicialComplex((), ())
     assert bare == v and hash(bare) == hash(v) and bare.kind == "void"
@@ -120,10 +124,20 @@ def test_constructor_keeps_the_maximal_masks_sorted():
     (("1", 2), (3,)),               # labels that do not compare
     (("1", "2"), (1.0, 2)),         # a mask that is no integer
     (("1",), ([1],)),
+    (("a b",), (1,)),               # a label that is two words
+    (("",), (1,)),                  # an empty label
+    ((1, 2), (3,)),                 # labels that are no strings
 ])
 def test_constructor_refuses_masks_that_do_not_cover_the_labels(labels, masks):
     with pytest.raises(InvalidParameter, match="facet masks must cover exactly the strictly"):
         SimplicialComplex(labels, masks)
+
+
+def test_bit_indices_refuses_a_negative_mask():
+    assert list(bit_indices(0b10110)) == [1, 2, 4] and list(bit_indices(0)) == []
+    # -1 has endless set bits: next, not list, so a walk that never ends shows as a failure
+    with pytest.raises(InvalidParameter, match="nonnegative mask, got -1"):
+        next(bit_indices(-1))
 
 
 def test_integer_labels_cost_what_their_strings_cost():
@@ -215,7 +229,7 @@ def test_membership_and_links_read_the_facets():
     with pytest.raises(FaceNotInComplex, match=r"\{1 4\} is not a face"):
         c.link(["4", "1"])
     for complex_ in (big, c):
-        assert "_cover" not in complex_.__dict__ and "face_mask_set" not in complex_.__dict__
+        assert "_cover" not in complex_.__dict__
 
 
 def test_membership_and_links_match_the_face_set(corpus4):
@@ -340,13 +354,13 @@ def test_face_budget_refuses_before_enumerating(monkeypatch):
 
     # 2^31 possible faces: refused by the bound, without building any face
     big = full_simplex(30)
-    for query in (lambda: big.face_mask_set, big.f_vector, big.faces):
+    for query in (big.f_vector, big.faces):
         with pytest.raises(TooLarge, match=f"2147483648, over the face budget of {complexes.FACE_BUDGET}"):
             query()
     assert big.dimension() == 30 and big.is_pure()
     # the guard compares sum over facets of 2^|F| with the budget: equal passes
     monkeypatch.setattr(complexes, "FACE_BUDGET", 12)
-    assert len(from_facets([[1, 2, 3], [3, 4]]).face_mask_set) == 10
+    assert sum(from_facets([[1, 2, 3], [3, 4]]).f_vector()) == 10
     with pytest.raises(TooLarge, match="by 14, over the face budget of 12"):
         from_facets([[1, 2, 3], [3, 4], [5]]).f_vector()
 

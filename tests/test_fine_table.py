@@ -202,6 +202,21 @@ def test_void_complex_has_no_fine_table():
             check(void)
 
 
+def test_sphere_verdict_reads_c_empty_not_the_f_vector(monkeypatch):
+    # c_empty = 1 - chi_top, so the sphere test needs no Euler characteristic of its own
+    def refuse(self):
+        raise AssertionError("euler_characteristics called")
+
+    monkeypatch.setattr(SimplicialComplex, "euler_characteristics", refuse)
+    assert is_eulerian_sphere(cross_polytope(3)).ok
+    assert is_eulerian_sphere(from_facets([[]])).ok
+    points = is_eulerian_sphere(from_facets([[1], [2], [3]]))
+    assert (points.ok, points.witness) == (False, "chi_top=3, want 2 for a sphere")
+    two = from_facets(list(combinations("1234", 3)) + list(combinations("5678", 3)))
+    verdict = is_eulerian_sphere(two)
+    assert (verdict.ok, verdict.witness) == (False, "chi_top=4, want 2 for a sphere")
+
+
 def test_fine_table_is_compact():
     # full simplices keep one term of all their faces; cross-polytopes keep them all
     for c in (full_simplex(10), cross_polytope(6), boundary_simplex(5)):

@@ -34,7 +34,7 @@ from scx import (
 )
 from hypothesis import given, strategies as st
 
-from oracles import coarse_series_direct, free_module_by_decimal, truncated_free_module_sum
+from oracles import coarse_series_direct, faces_of, free_module_by_decimal, truncated_free_module_sum
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]
 
@@ -64,8 +64,9 @@ def test_minimal_nonfaces_characterize_faces(corpus4):
         # the non-faces form an antichain
         for m in masks:
             assert not any(m != o and m & o == m for o in masks)
+        faces = faces_of(c)
         for subset in range(1 << c.n):
-            is_face = subset in c.face_mask_set
+            is_face = subset in faces
             contains_nonface = any(m & subset == m for m in masks)
             assert is_face == (not contains_nonface)
 
@@ -96,6 +97,9 @@ def test_graded_dimension_examples():
         graded_dimension(c, (1, 0, 0, -1))
     with pytest.raises(VoidComplex):
         graded_dimension(from_facets([]), ())
+    # the degree is read before the faces: a wrong length on void is a mismatch
+    with pytest.raises(DimensionMismatch):
+        graded_dimension(from_facets([]), (1,))
 
 
 BAD_ENTRIES = [-1, 1.5, "1", None]
@@ -178,9 +182,10 @@ def test_fine_superset_sums_detect_faces(corpus4):
     # binomial inversion: sum of c_tau over supersets of rho is [rho is a face]
     for c in corpus4:
         p = fine_e_polynomial(c)
+        faces = faces_of(c)
         for subset in range(1 << c.n):
             labs = [c.labels[i] for i in bit_indices(subset)]
-            expected = 1 if subset in c.face_mask_set else 0
+            expected = 1 if subset in faces else 0
             assert p.superset_sum(labs) == expected
 
 

@@ -71,7 +71,8 @@ def test_checks_reject_void():
     void = from_facets([])
     for check in (check_property_e, check_weak_property_e, check_classical_ds,
                   check_general_ds, is_eulerian, is_eulerian_sphere,
-                  classify, is_connected):
+                  classify, is_connected, check_link_identity,
+                  lambda v: check_join_property_e(v, cycle(3))):
         with pytest.raises(VoidComplex):
             check(void)
 
@@ -289,7 +290,7 @@ def test_connectivity():
     assert is_connected(from_facets([[]]))
     assert not is_connected(from_facets([[1, 2], [3, 4]]))
     assert not is_connected(from_facets([[1, 2], [3]]))
-    # both hold far more faces than the face budget lets face_mask_set build
+    # both hold far more faces than the face budget lets the cover count
     assert is_connected(full_simplex(30))
     halves = [[str(i) for i in range(25)], [str(i) for i in range(25, 50)]]
     assert not is_connected(from_facets(halves))
