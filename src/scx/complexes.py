@@ -47,7 +47,7 @@ from .errors import (
     TooLarge,
     VoidComplex,
 )
-from .vectors import FVector, _sign
+from .vectors import FVector, _check_int, _sign
 
 __all__ = [
     "SimplicialComplex",
@@ -447,8 +447,7 @@ def _check_listing(what: str, entries: int) -> None:
 
 def boundary_simplex(d: int) -> SimplicialComplex:
     """Boundary of the d-simplex: all proper subsets of a (d+1)-point set."""
-    if d < 1:
-        raise InvalidParameter("boundary_simplex needs d >= 1")
+    _check_int(d, "boundary_simplex needs an int d >= 1", 1)
     _check_listing(f"boundary_simplex({d})", d * (d + 1))
     verts = [str(i) for i in range(1, d + 2)]
     return from_facets(combinations(verts, d))
@@ -456,16 +455,14 @@ def boundary_simplex(d: int) -> SimplicialComplex:
 
 def full_simplex(d: int) -> SimplicialComplex:
     """The full d-simplex: one facet on d+1 vertices."""
-    if d < 1:
-        raise InvalidParameter("full_simplex needs d >= 1")
+    _check_int(d, "full_simplex needs an int d >= 1", 1)
     _check_listing(f"full_simplex({d})", d + 1)
     return from_facets([[str(i) for i in range(1, d + 2)]])
 
 
 def cycle(n: int) -> SimplicialComplex:
     """The n-gon graph: vertices 1..n, edges between cyclic neighbors."""
-    if n < 3:
-        raise InvalidParameter("cycle needs n >= 3")
+    _check_int(n, "cycle needs an int n >= 3", 3)
     _check_listing(f"cycle({n})", 2 * n)
     return from_facets([[str(i), str(i % n + 1)] for i in range(1, n + 1)])
 
@@ -477,8 +474,7 @@ def cross_polytope(d: int) -> SimplicialComplex:
     each pair. Equivalent to the d-fold join of two-point complexes, without
     the nested label prefixes that iterated joins would produce.
     """
-    if d < 1:
-        raise InvalidParameter("cross_polytope needs d >= 1")
+    _check_int(d, "cross_polytope needs an int d >= 1", 1)
     # d * 2^d entries; past the budget's bit length the capped shift is over it
     # anyway, and a huge d never builds a huge integer
     _check_listing(f"cross_polytope({d})", d << min(d, FACE_BUDGET.bit_length()))
@@ -492,10 +488,8 @@ def whiskered_cycle(n: int, k: int) -> SimplicialComplex:
     Where the whiskers attach does not matter for any property this library
     decides, so one canonical representative suffices.
     """
-    if n < 3:
-        raise InvalidParameter("whiskered_cycle needs n >= 3")
-    if k < 0:
-        raise InvalidParameter("whiskered_cycle needs k >= 0")
+    _check_int(n, "whiskered_cycle needs an int n >= 3", 3)
+    _check_int(k, "whiskered_cycle needs an int k >= 0", 0)
     _check_listing(f"whiskered_cycle({n}, {k})", 2 * (n + k))
     edges = [[str(i), str(i % n + 1)] for i in range(1, n + 1)]
     edges.extend(["1", str(n + j)] for j in range(1, k + 1))
@@ -533,8 +527,7 @@ def enumerate_all_complexes(n: int) -> Iterator[SimplicialComplex]:
     vertex subsets are distinct even when isomorphic. n > 5 is refused since
     the count grows like the Dedekind numbers.
     """
-    if n < 1:
-        raise InvalidParameter("enumeration needs n >= 1")
+    _check_int(n, "enumeration needs an int n >= 1", 1)
     if n > 5:
         raise TooLarge("refusing to enumerate beyond 5 vertices")
     yield from_facets([[]])
@@ -560,8 +553,8 @@ def random_complex(seed: int, n: int, facet_count: int, max_facet_size: int) -> 
     each facet are sampled without replacement from 1..n; vertices that end up
     in no facet simply do not occur in the complex.
     """
-    if n < 1 or facet_count < 1 or max_facet_size < 1:
-        raise InvalidParameter("n, facet_count and max_facet_size must all be >= 1")
+    for x in (n, facet_count, max_facet_size):
+        _check_int(x, "n, facet_count and max_facet_size must all be ints >= 1", 1)
     cap = min(max_facet_size, n)
     _check_listing(f"random_complex({seed}, {n}, {facet_count}, {max_facet_size})", facet_count * cap)
     rng = _random.Random(seed)

@@ -13,13 +13,13 @@ exact subset-indexed coefficient table (:class:`FineEPolynomial`), recovers
 the coarse e-vector by equating the variables, evaluates per-multidegree
 graded dimensions with an independent divisibility cross-check, and provides
 the numeric closed form for the series of a free module generated in a fixed
-multidegree.
+multidegree. The coarse series evaluates in ints at the exact ratio of the
+double exp(t); only :func:`evaluate_e_poly_exact` returns a Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -111,8 +111,12 @@ def minimal_nonfaces(c: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
 
 
 def _support_mask(n: int, a: Sequence[int]) -> int:
-    if len(a) != n:
-        raise DimensionMismatch(f"multidegree length {len(a)} != vertex count {n}")
+    try:
+        length = len(a)
+    except TypeError:
+        raise InvalidParameter(f"a multidegree must be a sequence, got {a!r}") from None
+    if length != n:
+        raise DimensionMismatch(f"multidegree length {length} != vertex count {n}")
     mask = 0
     bit = 1
     for ai in a:
@@ -180,6 +184,19 @@ def taylor_coefficient(p: FineEPolynomial, a: Sequence[int]) -> int:
     return p._superset_sums.get(_support_mask(p.n, a), 0)
 
 
+def _real(x, what: str) -> float:
+    """x as a float, an int past the double range as an infinity of its sign;
+    InvalidParameter unless x is a real number."""
+    if not isinstance(x, (str, bytes, bytearray)):  # float() would parse these
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+        except (TypeError, ValueError):
+            pass
+    raise InvalidParameter(f"{what} must be a real number, got {x!r}")
+
+
 def _tail(a: int, x: float) -> tuple[int, float]:
     """(sign, log |t|) of the tail t = sum_{k >= a} x^k / k! of exp(x), without cancellation.
 
@@ -227,13 +244,17 @@ def free_module_series_eval(a: Sequence[int], x: Sequence[float]) -> float:
     TooLarge is raised where an infinite x_i meets a zero factor (0 * inf)
     or an x_i is nan.
     """
-    if len(a) != len(x):
+    try:
+        mismatch = len(a) != len(x)
+    except TypeError:
+        raise InvalidParameter(f"the degree and the point must be sequences, got {a!r}, {x!r}") from None
+    if mismatch:
         raise DimensionMismatch(f"degree length {len(a)} != point length {len(x)}")
     sign, log_value = 1, 0.0
     for ai, xi in zip(a, x):
         if not isinstance(ai, int) or ai < 0:
             raise InvalidParameter(f"multidegree entries must be nonnegative integers, got {ai!r}")
-        factor_sign, factor_log = _tail(ai, float(xi))
+        factor_sign, factor_log = _tail(ai, _real(xi, "a point coordinate"))
         sign *= factor_sign
         log_value += factor_log
     if math.isnan(log_value):
@@ -253,22 +274,32 @@ def evaluate_coarse(e, t: float) -> float:
     ln(1 + max|e_k|) by 1: as e_d >= 1, p(y) >= y^d / 2 there, past the double range.
     """
     p = e_polynomial(e)
+    t = _real(t, "t")
     if math.isnan(t):
         return math.nan
     try:
-        y = Fraction(math.exp(t))
+        num, den = math.exp(t).as_integer_ratio()
     except OverflowError:
-        if t > max(math.log(1 + max(map(abs, p.coeffs))) + 1, 711):
+        if t > max(math.log(1 + max(map(abs, p))) + 1, 711):
             return math.inf if p.degree else 1.0
         k = math.ceil((t - 700) / math.log(2))
-        y = Fraction(math.exp(t - k * math.log(2))) * 2 ** k
-    value = p(y)
+        num, den = math.exp(t - k * math.log(2)).as_integer_ratio()
+        num <<= k
+    # p(num / den) is top / den^d in ints, and int true division rounds once
+    top = sum(c * num ** k * den ** (p.degree - k) for k, c in enumerate(p))
     try:
-        return float(value)
+        return top / den ** p.degree
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf if top > 0 else -math.inf
 
 
-def evaluate_e_poly_exact(e, q) -> Fraction:
-    """Exact rational value of the e-polynomial sum_k e_k q^k."""
-    return e_polynomial(e)(Fraction(q))
+def evaluate_e_poly_exact(e, q):
+    """Exact rational value of the e-polynomial sum_k e_k q^k, as a Fraction."""
+    from fractions import Fraction  # here, so that importing scx does not load it
+
+    p = e_polynomial(e)
+    try:
+        q = Fraction(q)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameter(f"q must be a rational number, got {q!r}") from None
+    return p(q)

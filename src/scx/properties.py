@@ -12,8 +12,8 @@ a result.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import comb
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, _listed
 from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Boolean outcome plus a witness describing the first failure, if any."""
 
     ok: bool
@@ -47,8 +46,7 @@ class Verdict:
         return self.ok
 
 
-@dataclass(frozen=True)
-class LinkIdentityResult:
+class LinkIdentityResult(NamedTuple):
     """Result of the vertex-link polynomial identity check."""
 
     ok: bool
@@ -59,8 +57,7 @@ class LinkIdentityResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     property_e: bool
     weak_property_e: bool
     classical_ds: bool
@@ -71,7 +68,7 @@ class PropertyReport:
     witness: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _property_e_from(c: SimplicialComplex, first_k: int) -> Verdict:

@@ -16,16 +16,14 @@ f-polynomial at t - 1. The five transforms share that one kernel,
 :func:`_shift`; :func:`pascal_matrices`, :func:`shift_poly` and
 :func:`h_poly_from_f_poly` stay independent of it, so the tests can compare
 the transforms against them. Everything is exact: Python big integers
-throughout, :class:`fractions.Fraction` where a rational value is
-evaluated. No float ever enters a transform.
+throughout, and a polynomial evaluates exactly at an int or a Fraction. No
+float ever enters a transform. The vectors and polynomials are int tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import InvalidParameter, NotAnEVector, NotAnHVector
 
@@ -48,60 +46,77 @@ __all__ = [
     "vector_json",
 ]
 
-Scalar = Union[int, Fraction]
-
 
 def _sign(k: int) -> int:
     """(-1)**k, well defined for negative k too."""
     return -1 if k % 2 else 1
 
 
-@dataclass(frozen=True)
-class _IntVector:
-    entries: tuple[int, ...]
+def _check_int(x, message: str, low: int | None = None) -> None:
+    """InvalidParameter unless x is an int (a bool counts), at least low when given."""
+    if not isinstance(x, int) or low is not None and x < low:
+        raise InvalidParameter(f"{message}, got {x!r}")
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        if not entries:
-            raise ValueError(f"{type(self).__name__} cannot be empty")
-        for x in entries:
+
+class _Ints(tuple):
+    """A tuple of ints, equal only to one of its own class, never to a plain tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, values=()):
+        self = tuple.__new__(cls, values)
+        for x in self:
             if not isinstance(x, int):
-                raise ValueError(f"{type(self).__name__} entries must be int, got {x!r}")
+                raise ValueError(f"{cls.__name__} entries must be int, got {x!r}")
+        return self
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self):
+        return f"{type(self).__name__}({tuple.__repr__(self)})"
+
+
+class _IntVector(_Ints):
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        if not self:
+            raise ValueError(f"{cls.__name__} cannot be empty")
         self._validate()
+        return self
 
     def _validate(self) -> None:
         raise NotImplementedError
 
+    entries = property(tuple)  # the plain tuple
+
     @property
     def d(self) -> int:
         """Length minus one; equals dim(complex) + 1 for vectors of a complex."""
-        return len(self.entries) - 1
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
+        return len(self) - 1
 
 
-@dataclass(frozen=True)
 class FVector(_IntVector):
     """Face counts ``(f_-1, f_0, ..., f_{d-1})``; ``entries[i]`` holds ``f_{i-1}``."""
 
+    __slots__ = ()
+
     def _validate(self) -> None:
-        if self.entries[0] != 1:
+        if self[0] != 1:
             raise ValueError("f_-1 must be 1 (the empty face)")
-        if any(x < 0 for x in self.entries):
+        if any(x < 0 for x in self):
             raise ValueError("face counts cannot be negative")
-        if self.entries[-1] < 1:
+        if self[-1] < 1:
             raise ValueError("top face count must be positive (the length is tight)")
 
 
-@dataclass(frozen=True)
 class EVector(_IntVector):
     """Coefficients ``(e_0, ..., e_d)`` of the coarse exponential series in y = exp(t).
 
@@ -111,21 +126,24 @@ class EVector(_IntVector):
     through :func:`e_to_f`.
     """
 
+    __slots__ = ()
+
     def _validate(self) -> None:
-        if sum(self.entries) != 1:
+        if sum(self) != 1:
             raise ValueError("e-vector entries must sum to 1")
-        if self.entries[-1] < 1:
+        if self[-1] < 1:
             raise ValueError("leading e-vector entry must be positive")
 
 
-@dataclass(frozen=True)
 class HVector(_IntVector):
     """Coefficients ``(h_0, ..., h_d)`` of the coarse Hilbert series numerator."""
 
+    __slots__ = ()
+
     def _validate(self) -> None:
-        if self.entries[0] != 1:
+        if self[0] != 1:
             raise ValueError("h_0 must be 1")
-        if sum(self.entries) < 1:
+        if sum(self) < 1:
             raise ValueError("h-vector entries must sum to f_{d-1} >= 1")
 
 
@@ -134,7 +152,7 @@ def _as(cls, v, error):
     if isinstance(v, cls):
         return v
     try:
-        return cls(tuple(v))
+        return cls(v)
     except (ValueError, TypeError) as exc:
         raise error(str(exc)) from exc
 
@@ -174,7 +192,7 @@ def e_to_f(e: EVector | Iterable[int]) -> FVector:
 def f_to_h(f: FVector | Iterable[int]) -> HVector:
     """h_k = sum_{i=0..k} (-1)^(k-i) C(d-i, k-i) f_{i-1}."""
     f = _as(FVector, f, InvalidParameter)
-    return HVector(tuple(reversed(_shift(reversed(f.entries), -1))))
+    return HVector(tuple(reversed(_shift(reversed(f), -1))))
 
 
 def h_to_f(h: HVector | Iterable[int]) -> FVector:
@@ -183,7 +201,7 @@ def h_to_f(h: HVector | Iterable[int]) -> FVector:
     Raises NotAnHVector when the round trip does not land on a valid f-vector.
     """
     h = _as(HVector, h, NotAnHVector)
-    entries = tuple(reversed(_shift(reversed(h.entries), 1)))
+    entries = tuple(reversed(_shift(reversed(h), 1)))
     try:
         return FVector(entries)
     except ValueError as exc:
@@ -212,8 +230,7 @@ def pascal_matrices(d: int):
 
     A * A_inv and B * B_inv are exactly the identity.
     """
-    if d < 0:
-        raise InvalidParameter("matrix size parameter d must be >= 0")
+    _check_int(d, "matrix size parameter d must be an int >= 0", 0)
     size = d + 1
     A = [[_sign(i - j) * comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]
     A_inv = [[comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]
@@ -222,71 +239,72 @@ def pascal_matrices(d: int):
     return A, A_inv, B, B_inv
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Ints):
     """Dense univariate polynomial over the integers, ascending degree.
 
     Normalized so the top coefficient is nonzero; the zero polynomial is the
-    empty tuple. Addition, multiplication, differentiation, affine argument
-    substitution and evaluation at integers or Fractions are all exact.
+    empty tuple. Its operators are arithmetic, not the tuple's: ``+``, ``-``
+    and ``*`` add, subtract and multiply polynomials, and ``*`` by an int
+    scales. Differentiation, affine argument substitution and evaluation at
+    integers or Fractions are all exact.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise ValueError(f"polynomial coefficients must be int, got {c!r}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+    def __new__(cls, coeffs=()):
+        self = super().__new__(cls, coeffs)
+        top = len(self)
+        while top and not self[top - 1]:
+            top -= 1
+        return self if top == len(self) else tuple.__new__(cls, self[:top])
+
+    coeffs = property(tuple)  # the plain tuple
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self) - 1
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
+        if not isinstance(other, IntPolynomial):
+            raise TypeError(f"an IntPolynomial adds only an IntPolynomial, not {type(other).__name__}")
+        a, b = (self, other) if len(self) >= len(other) else (other, self)
         merged = list(a)
         for i, c in enumerate(b):
             merged[i] += c
-        return IntPolynomial(tuple(merged))
+        return IntPolynomial(merged)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return IntPolynomial(-c for c in self)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial(tuple(other * c for c in self.coeffs))
+            return IntPolynomial(other * c for c in self)
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not self or not other:
             return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other):
                     out[i + j] += a * b
-        return IntPolynomial(tuple(out))
+        return IntPolynomial(out)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
+        return IntPolynomial(tuple(i * c for i, c in enumerate(self))[1:])
 
     def compose_linear(self, a: int, b: int) -> "IntPolynomial":
         """Exact substitution t -> a*t + b."""
         result = IntPolynomial()
         power = IntPolynomial((1,))
         base = IntPolynomial((b, a))
-        for c in self.coeffs:
+        for c in self:
             if c:
                 result = result + c * power
             power = power * base
@@ -296,17 +314,17 @@ class IntPolynomial:
         """Exact substitution t -> t + c via binomial expansion."""
         return self.compose_linear(1, c)
 
-    def __call__(self, x: Scalar) -> Scalar:
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
+    def __call__(self, x):
+        acc = 0
+        for c in reversed(self):
             acc = acc * x + c
         return acc
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self):
             if not c:
                 continue
             term = str(c) if i == 0 else (f"{c}*t" if i == 1 else f"{c}*t^{i}")
@@ -316,21 +334,22 @@ class IntPolynomial:
 
 def f_polynomial(f: FVector | Iterable[int]) -> IntPolynomial:
     """sum_i f_{i-1} t^i."""
-    return IntPolynomial(_as(FVector, f, InvalidParameter).entries)
+    return IntPolynomial(_as(FVector, f, InvalidParameter))
 
 
 def e_polynomial(e: EVector | Iterable[int]) -> IntPolynomial:
     """sum_k e_k t^k."""
-    return IntPolynomial(_as(EVector, e, NotAnEVector).entries)
+    return IntPolynomial(_as(EVector, e, NotAnEVector))
 
 
 def h_polynomial(h: HVector | Iterable[int]) -> IntPolynomial:
     """sum_k h_k t^k."""
-    return IntPolynomial(_as(HVector, h, NotAnHVector).entries)
+    return IntPolynomial(_as(HVector, h, NotAnHVector))
 
 
 def shift_poly(p: IntPolynomial | Iterable[int], c: int) -> IntPolynomial:
     """p(t + c), exactly. shift_poly(f_polynomial(f), -1) is the e-polynomial."""
+    _check_int(c, "the shift c must be an int")
     return _as(IntPolynomial, p, InvalidParameter).shift(c)
 
 

@@ -1,10 +1,16 @@
 """The public API as literal name lists, so that any addition or removal
 shows as a diff of this file."""
 
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import scx
-from scx import cycle, fine_e_polynomial
+from scx import (EVector, FVector, HVector, IntPolynomial, LinkIdentityResult, PropertyReport, Verdict,
+                 check_link_identity, classify, cycle, f_to_e, f_to_h, fine_e_polynomial)
 
 PACKAGE = [
     "DimensionMismatch", "DuplicateVertexInFacet", "EVector", "FVector", "FaceNotInComplex",
@@ -30,6 +36,20 @@ SIMPLICIAL_COMPLEX = [
 
 FINE_E_POLYNOMIAL = ["coefficient", "d", "labels", "n", "sorted_terms", "superset_sum"]
 
+# the value types are tuples, so count and index come with them
+INT_VECTOR = ["count", "d", "entries", "index"]
+
+INT_POLYNOMIAL = ["coeffs", "compose_linear", "count", "degree", "derivative", "index", "shift"]
+
+VERDICT = ["count", "index", "ok", "witness"]
+
+LINK_IDENTITY_RESULT = ["count", "hypothesis_met", "index", "note", "ok"]
+
+PROPERTY_REPORT = [
+    "classical_ds", "count", "eulerian", "eulerian_sphere", "general_ds", "index", "property_e",
+    "pure", "to_dict", "weak_property_e", "witness",
+]
+
 
 def _public(names):
     return sorted(n for n in names if not n.startswith("_"))
@@ -46,3 +66,67 @@ def test_complex_and_fine_polynomial_attributes():
     c = cycle(4)
     assert _public(dir(c)) == SIMPLICIAL_COMPLEX
     assert _public(dir(fine_e_polynomial(c))) == FINE_E_POLYNOMIAL
+
+
+C4 = cycle(4)
+VALUES = [(C4.f_vector(), INT_VECTOR), (f_to_e(C4.f_vector()), INT_VECTOR),
+          (f_to_h(C4.f_vector()), INT_VECTOR), (IntPolynomial((1, 2)), INT_POLYNOMIAL),
+          (Verdict(False, "w"), VERDICT), (check_link_identity(C4), LINK_IDENTITY_RESULT),
+          (classify(C4), PROPERTY_REPORT)]
+
+
+@pytest.mark.parametrize("value, names", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_type_attributes(value, names):
+    assert _public(dir(value)) == names
+    for name in names + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+
+
+def test_int_tuples_equal_only_their_own_class():
+    for cls in (FVector, HVector, IntPolynomial):
+        a, b = cls((1, 2, 1)), cls([1, 2, 1])
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != (1, 2, 1) and (1, 2, 1) != a and not a == (1, 2, 1)
+    assert FVector((1,)) != EVector((1,)) and not FVector((1,)) == EVector((1,))
+    assert IntPolynomial((1,)) != FVector((1,))
+    assert {FVector((1, 3)), FVector((1, 3)), HVector((1, 3))} == {FVector((1, 3)), HVector((1, 3))}
+
+
+def test_records_compare_and_hash_by_their_fields():
+    for a, b in ((Verdict(True), Verdict(True, None)),
+                 (LinkIdentityResult(True, False, "n"), LinkIdentityResult(True, False, "n")),
+                 (classify(C4), classify(cycle(4)))):
+        assert a == b and hash(a) == hash(b)
+    assert Verdict(False, "w") != Verdict(False, "v")
+    assert not Verdict(False, "w") and Verdict(True) and not LinkIdentityResult(False, True)
+
+
+def test_property_report_dict_keeps_the_field_order():
+    assert list(classify(C4).to_dict()) == [
+        "property_e", "weak_property_e", "classical_ds", "general_ds", "eulerian",
+        "eulerian_sphere", "pure", "witness"]
+
+
+def test_reprs_name_the_class_and_the_values():
+    assert repr(FVector((1, 4, 4))) == "FVector((1, 4, 4))"
+    assert repr(EVector((1,))) == "EVector((1,))"
+    assert repr(IntPolynomial((1, 2, 0))) == "IntPolynomial((1, 2))"
+    assert repr(IntPolynomial()) == "IntPolynomial(())"
+    assert repr(Verdict(False, "w")) == "Verdict(ok=False, witness='w')"
+    assert repr(LinkIdentityResult(True, True)) == "LinkIdentityResult(ok=True, hypothesis_met=True, note=None)"
+    report = classify(C4)
+    assert repr(report) == "PropertyReport(" + ", ".join(f"{k}={v!r}" for k, v in report.to_dict().items()) + ")"
+    for value in (FVector((1, 4, 4)), HVector((1, 2, 1)), IntPolynomial((0, -3))):
+        assert eval(repr(value)) == value
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_fractions():
+    # -S: no site hooks, so only scx's own imports count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import scx.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules))); "
+            "print(type(scx.evaluate_e_poly_exact((1, -3, 2, 1), 3)).__name__)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "Fraction"]

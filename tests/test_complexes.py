@@ -422,6 +422,17 @@ def test_make_dispatch():
         boundary_simplex(0)
     with pytest.raises(InvalidParameter):
         whiskered_cycle(3, -1)
+    assert make("full_simplex", True) == full_simplex(1)  # a bool counts as an int
+
+
+@pytest.mark.parametrize("fn, args", [
+    (cycle, (4.0,)), (cycle, ("3",)), (cross_polytope, (2.0,)), (boundary_simplex, (2.5,)),
+    (random_complex, (1, "3", 2, 2)), (make, ("cycle", "3")),
+    (lambda n: next(enumerate_all_complexes(n)), ("a",)),
+], ids=lambda v: getattr(v, "__name__", None) or repr(v))
+def test_size_parameters_must_be_ints(fn, args):
+    with pytest.raises(InvalidParameter):
+        fn(*args)
 
 
 # -- enumeration -------------------------------------------------------------------------------

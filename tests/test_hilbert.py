@@ -309,6 +309,10 @@ def test_evaluate_coarse_overflow_takes_the_leading_sign():
     assert evaluate_coarse((1, -3, 2, 1), math.inf) == math.inf
     assert evaluate_coarse((1, -3, 2, 1), -math.inf) == 1.0   # e_0
     assert math.isnan(evaluate_coarse((1, -3, 2, 1), math.nan))
+    # an int past the double range takes the same rule as an infinite t
+    assert evaluate_coarse((1, -3, 2, 1), 10**400) == math.inf
+    assert evaluate_coarse((1,), 10**400) == 1.0
+    assert evaluate_coarse((1, -3, 2, 1), -(10**400)) == 1.0
 
 
 def test_evaluate_coarse_with_entries_beyond_the_double_range():
@@ -331,6 +335,18 @@ def test_evaluate_coarse_where_exp_overflows():
     assert evaluate_coarse(e, 1e300) == math.inf  # past the root bound: no exact evaluation
 
 
+def test_evaluate_coarse_rounds_the_exact_value_once():
+    # the reference: the exact rational value at the double y = exp(t), rounded by float()
+    for e in ((0, 1), (1, -3, 2, 1), (-(10**400), 10**400 + 1), (-(10**30), 3 * 10**30, -2 * 10**30, 1)):
+        for t in (-740.0, -700.0, -3.7, -0.1, 0.3, 1.7, 50.0, 300.0):
+            exact = sum(c * Fraction(math.exp(t)) ** k for k, c in enumerate(e))
+            try:
+                want = float(exact)
+            except OverflowError:
+                want = math.inf if exact > 0 else -math.inf
+            assert evaluate_coarse(e, t) == want, (e, t)
+
+
 def test_evaluate_coarse_at_zero_is_one(corpus4):
     for c in corpus4:
         e = f_to_e(c.f_vector())
@@ -343,3 +359,31 @@ def test_evaluate_exact_examples():
     assert evaluate_e_poly_exact(tetra_e, 1) == 1
     assert evaluate_e_poly_exact((1, -3, 2, 1), Fraction(1, 3)) == Fraction(7, 27)
     assert evaluate_e_poly_exact((1,), Fraction(5, 7)) == 1
+
+
+def _named(value):
+    return getattr(value, "__name__", None) or repr(value)
+
+
+C4 = cycle(4)
+P4 = fine_e_polynomial(C4)
+NOT_NUMBERS = [
+    (evaluate_coarse, ((1,), "x")),
+    (evaluate_coarse, ((1,), None)),
+    (evaluate_coarse, ((1,), [1])),
+    (evaluate_e_poly_exact, ((1,), math.nan)),
+    (evaluate_e_poly_exact, ((1,), math.inf)),
+    (evaluate_e_poly_exact, ((1,), "abc")),
+    (evaluate_e_poly_exact, ((1,), None)),
+    (free_module_series_eval, ((1,), ("x",))),
+    (free_module_series_eval, ((1,), (None,))),
+    (free_module_series_eval, (None, None)),
+    (graded_dimension, (C4, None)),
+    (taylor_coefficient, (P4, None)),
+]
+
+
+@pytest.mark.parametrize("fn, args", NOT_NUMBERS, ids=_named)
+def test_evaluators_refuse_what_is_not_a_number(fn, args):
+    with pytest.raises(InvalidParameter):
+        fn(*args)

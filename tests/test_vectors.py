@@ -253,8 +253,9 @@ def test_pascal_matrices_agree_with_transforms():
 
 def test_pascal_matrices_reject_negative_size():
     assert pascal_matrices(0) == ([[1]], [[1]], [[1]], [[1]])
-    with pytest.raises(InvalidParameter):
-        pascal_matrices(-1)
+    for bad in (-1, 1.5, "2"):
+        with pytest.raises(InvalidParameter):
+            pascal_matrices(bad)
 
 
 # the full simplex on 60 vertices adds d = 60, with entries far beyond 64 bits
@@ -291,6 +292,11 @@ def test_int_polynomial_arithmetic():
     assert IntPolynomial()(5) == 0
     with pytest.raises(ValueError):
         IntPolynomial((1.5,))
+    # the operators stay arithmetic: a tuple or a float is no polynomial operand
+    assert (p * 3).coeffs == (3, 6) and (p * True) == p
+    for bad in (lambda: p + (1, 2), lambda: p - (1, 2), lambda: p * (1, 2), lambda: p * 2.0):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_int_polynomial_text():
@@ -307,6 +313,9 @@ def test_shift_poly_examples():
     shifted = shift_poly(cubed, -1)
     assert shifted.coeffs == (-1, 3, -3, 1)
     assert shift_poly(shifted, 1) == cubed
+    for bad in ("x", 0.5, None):
+        with pytest.raises(InvalidParameter):
+            shift_poly((1, 2), bad)
 
 
 def test_shift_matches_e_polynomial(corpus4):
