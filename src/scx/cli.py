@@ -270,10 +270,10 @@ def _cmd_suspend(args, stdin) -> str:
 
 
 def _cmd_oracle(args, stdin) -> str:
-    c = _read_complex(args.input, stdin)
     k = args.max_entry
     if k < 0:
         raise _Usage("--max-entry must be >= 0")
+    c = _read_complex(args.input, stdin)
     if (k + 1) ** c.n > 2_000_000:
         raise TooLarge(f"--max-entry {k} on {c.n} vertices gives over 2000000 multidegrees to sweep")
     fine = hilbert.fine_e_polynomial(c)

@@ -15,16 +15,18 @@ it with :class:`~scx.errors.VoidComplex`; the complex ``{}`` whose only face
 is the empty face is perfectly ordinary, with dimension -1 and face count
 vector ``(1,)``. The rule lives with the faces: the cover raises
 VoidComplex, as do the queries that read the facets first (membership,
-dimension, purity, the f-vector, links and joins), so whatever reads one of
-them first needs no check of its own.
+dimension, purity, links and joins), so whatever reads one of them first
+needs no check of its own.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination. A complex builds its
 derived tables on first use and keeps them for its lifetime; nothing is
-cached at module level. Membership and links read the facets alone. One
-walk over the facets' submasks gives the cover, every face with the number
-of facets that contain it: its keys are the face set, which gives the
-f-vector and the minimal non-faces, and its shared faces (in two facets or
+cached at module level; the vertex count ``n`` is a plain attribute, and
+``f_vector()`` returns the one FVector built on first use. Membership and
+links read the facets alone. One walk over the facets' submasks gives the
+cover, every face with the number of facets that contain it: its keys are
+the face set, which the f-vector counts and the level-wise search for the
+minimal non-faces tests against, and its shared faces (in two facets or
 more) are all the fine table needs, for the Eulerian checks and the series.
 """
 
@@ -172,15 +174,12 @@ class SimplicialComplex:
                 kept.append(m)
         self.labels = labels
         self.facet_masks = tuple(sorted(kept))
-        # a plain attribute, not a property: the void guard runs on every query
+        # plain attributes, not properties: the void guard runs on every query,
+        # and every multidegree query reads the vertex count
         self.is_void = not kept
+        self.n = len(labels)
 
     # -- identity ---------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Vertex count."""
-        return len(self.labels)
 
     @property
     def kind(self) -> str:
@@ -225,12 +224,43 @@ class SimplicialComplex:
 
     @cached_property
     def _minimal_nonface_masks(self) -> tuple[int, ...]:
-        # a minimal non-face is one vertex more than some face, and dropping
-        # any one of its vertices leaves a face
-        faces = self._cover.keys()  # a keys view: a set minus a Counter is a TypeError
-        candidates = {face | (1 << v) for face in faces for v in range(self.n)} - faces
-        return tuple(sorted(m for m in candidates
-                            if all(m ^ (1 << v) in faces for v in bit_indices(m))))
+        """The minimal non-faces, sorted: the negative border of the face set
+        (Mannila-Toivonen, 1997), searched level by level as Apriori does.
+
+        A level's faces come in groups that differ only in their top vertex.
+        Joining two of a group, a < b, gives every face and every minimal
+        non-face one vertex larger, since dropping either of its top two
+        vertices leaves a face. A join outside the cover is a minimal non-face
+        when dropping each vertex that a and b share leaves a face too. That
+        is one cover lookup per joined pair, not one per face and vertex.
+        VoidComplex and the face budget's TooLarge come from the cover.
+        """
+        faces = self._cover
+        found: list[int] = []
+        groups = [[1 << v for v in range(self.n)]]  # the vertices, every one a face
+        while groups:
+            joined = []
+            for group in groups:
+                for i in range(len(group) - 1):
+                    a = group[i]
+                    above = []
+                    for b in group[i + 1:]:
+                        m = a | b
+                        if m in faces:
+                            above.append(m)
+                            continue
+                        shared = a & b
+                        while shared:
+                            low = shared & -shared
+                            if m ^ low not in faces:
+                                break
+                            shared ^= low
+                        else:
+                            found.append(m)
+                    if above:
+                        joined.append(above)
+            groups = joined
+        return tuple(sorted(found))
 
     @cached_property
     def _fine_terms(self) -> dict[int, int]:
@@ -306,16 +336,17 @@ class SimplicialComplex:
         return len({m.bit_count() for m in self.facet_masks}) == 1
 
     @cached_property
-    def _face_counts(self) -> tuple[int, ...]:
+    def _f_vector(self) -> FVector:
+        faces = self._cover  # first, for VoidComplex and the face budget
         counts = [0] * (max(m.bit_count() for m in self.facet_masks) + 1)
-        for m in self._cover:
+        for m in faces:
             counts[m.bit_count()] += 1
-        return tuple(counts)
+        return FVector(counts)
 
     def f_vector(self) -> FVector:
-        """Exact face counts (f_-1, ..., f_{d-1}), by counting every face of the cover."""
-        self._require_faces()
-        return FVector(self._face_counts)
+        """Exact face counts (f_-1, ..., f_{d-1}), by counting every face of the
+        cover: one FVector, built on first use and returned by every call."""
+        return self._f_vector
 
     def euler_characteristics(self) -> tuple[int, int]:
         """(chi, chi_top), two alternating sums of the face counts.
@@ -525,25 +556,32 @@ def enumerate_all_complexes(n: int) -> Iterator[SimplicialComplex]:
     of nonempty subsets of {1..n} (the possible facet sets), produced in
     lexicographic order of the sorted facet masks. Complexes on different
     vertex subsets are distinct even when isomorphic. n > 5 is refused since
-    the count grows like the Dedekind numbers.
+    the count grows like the Dedekind numbers. Each antichain's masks are
+    squeezed onto the dense indices of its vertex set and go to the
+    constructor as they are; the labels 1..5 sort as their numbers do.
     """
     _check_int(n, "enumeration needs an int n >= 1", 1)
     if n > 5:
         raise TooLarge("refusing to enumerate beyond 5 vertices")
-    yield from_facets([[]])
+    yield SimplicialComplex((), [0])
     top = 1 << n
     labels = [str(i + 1) for i in range(n)]
+    # per vertex set: its labels, and each of its subsets on its dense indices;
+    # both submask lists add the set bits in the same order, lowest first
+    dense = [(tuple(labels[i] for i in bit_indices(u)),
+              dict(zip(_submasks(u), _submasks((1 << u.bit_count()) - 1)))) for u in range(top)]
 
-    def grow(start: int, chosen: tuple[int, ...]) -> Iterator[SimplicialComplex]:
+    def grow(start: int, chosen: tuple[int, ...], used: int) -> Iterator[SimplicialComplex]:
         for m in range(start, top):
             # m > c for every chosen c, so only containment c within m can occur
             if any(c & m == c for c in chosen):
                 continue
             picked = chosen + (m,)
-            yield from_facets([[labels[i] for i in bit_indices(x)] for x in picked])
-            yield from grow(m + 1, picked)
+            vertices, squeeze = dense[used | m]
+            yield SimplicialComplex(vertices, [squeeze[x] for x in picked])
+            yield from grow(m + 1, picked, used | m)
 
-    yield from grow(1, ())
+    yield from grow(1, (), 0)
 
 
 def random_complex(seed: int, n: int, facet_count: int, max_facet_size: int) -> SimplicialComplex:

@@ -55,13 +55,10 @@ class FineEPolynomial:
 
     def __init__(self, labels: tuple[str, ...], d: int, terms: dict[int, int], index: dict[str, int]):
         self.labels = labels
+        self.n = len(labels)  # a plain attribute: every multidegree query reads it
         self.d = d
         self._terms = terms
         self._index = index
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
     def _mask(self, subset: Iterable) -> int:
         try:

@@ -276,3 +276,44 @@ def link_by_faces(c, mask):
     link = {m for m in faces if not m & mask and m | mask in faces}
     facets = maximal_masks_by_pairs(link)
     return tuple(c.labels[v] for v in range(c.n) if any(m >> v & 1 for m in facets)), facets
+
+
+def minimal_nonfaces_by_candidate_scan(c):
+    """The minimal non-face masks, sorted: every face plus one vertex is a
+    candidate, kept when it is no face and dropping any of its vertices leaves
+    one. n * #faces candidates, from faces_of."""
+    faces = faces_of(c)
+    candidates = {face | (1 << v) for face in faces for v in range(c.n)} - faces
+    return tuple(sorted(m for m in candidates if all(m ^ (1 << v) in faces for v in bit_indices(m))))
+
+
+def minimal_transversals_of_complements(c):
+    """The minimal non-face masks, sorted, from the facets alone: a vertex set
+    is a non-face exactly when it meets the complement of every facet, so the
+    minimal non-faces are the minimal transversals of the complements, grown
+    one complement at a time (Berge). Exponential in the worst case."""
+    everything = (1 << c.n) - 1
+    transversals = {0}  # the empty set meets every edge of the empty family
+    for facet in c.facet_masks:
+        edge = everything & ~facet
+        grown = {t for t in transversals if t & edge}
+        grown |= {t | (1 << v) for t in transversals if not t & edge for v in bit_indices(edge)}
+        transversals = {t for t in grown if not any(o != t and o & t == o for o in grown)}
+    return tuple(sorted(transversals))
+
+
+def complexes_by_labels(n):
+    """enumerate_all_complexes(n) rebuilt through from_facets from label lists:
+    the empty-face complex, then one complex per antichain of nonempty subsets
+    of {1..n}, the antichains as sorted mask tuples in lexicographic order."""
+    antichains = []
+
+    def extend(chosen):
+        for m in range((chosen[-1] if chosen else 0) + 1, 1 << n):
+            if all(c & m != c for c in chosen):
+                antichains.append(chosen + (m,))
+                extend(chosen + (m,))
+
+    extend(())
+    return [from_facets([[]])] + [
+        from_facets([[str(v + 1) for v in bit_indices(m)] for m in chosen]) for chosen in sorted(antichains)]

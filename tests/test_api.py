@@ -4,13 +4,15 @@ shows as a diff of this file."""
 import subprocess
 import sys
 import types
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import scx
 from scx import (EVector, FVector, HVector, IntPolynomial, LinkIdentityResult, PropertyReport, Verdict,
-                 check_link_identity, classify, cycle, f_to_e, f_to_h, fine_e_polynomial)
+                 check_link_identity, classify, cycle, enumerate_all_complexes, f_to_e, f_to_h,
+                 fine_e_polynomial, graded_dimension, minimal_nonfaces, taylor_coefficient)
 
 PACKAGE = [
     "DimensionMismatch", "DuplicateVertexInFacet", "EVector", "FVector", "FaceNotInComplex",
@@ -130,3 +132,22 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_fractions():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "Fraction"]
+
+
+def _module_container_sizes():
+    return {(name, attr): len(obj) for name, mod in sys.modules.items()
+            if name == "scx" or name.startswith("scx.")
+            for attr, obj in vars(mod).items()
+            if not attr.startswith("__") and isinstance(obj, (dict, list, set))}
+
+
+def test_nothing_is_cached_at_module_level():
+    # fresh complexes, so that every per-complex table is built during the test
+    before = _module_container_sizes()
+    for c in enumerate_all_complexes(4):
+        classify(c)
+        minimal_nonfaces(c)
+        p = fine_e_polynomial(c)
+        for a in product(range(2), repeat=c.n):
+            assert graded_dimension(c, a) == taylor_coefficient(p, a)
+    assert before and _module_container_sizes() == before

@@ -267,6 +267,15 @@ def test_usage_errors_exit_two(ex3_file):
     assert cli([])[0] == 2
 
 
+def test_oracle_checks_its_usage_before_reading_the_input(tmp_path):
+    # as series --eval inf does: a usage error exits 2 before a missing file is opened
+    missing = str(tmp_path / "missing.scx")
+    assert cli(["oracle", missing, "--max-entry", "-1"]) == (
+        2, "", "scx: usage error: --max-entry must be >= 0\n")
+    assert cli(["oracle", "-", "--max-entry", "-1"], stdin_text="not facet text\n")[0] == 2
+    assert cli(["oracle", missing, "--max-entry", "0"])[0] == 1
+
+
 def test_usage_errors_go_to_the_given_stderr(capsys):
     out, err = io.StringIO(), io.StringIO()
     argv = ["make", "cross-polytope", "2", "--seed"]

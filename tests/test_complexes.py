@@ -18,19 +18,22 @@ from scx import (
     VoidComplex,
     bit_indices,
     boundary_simplex,
+    classify,
     cross_polytope,
     cycle,
     enumerate_all_complexes,
     f_polynomial,
+    fine_e_polynomial,
     from_facets,
     full_simplex,
     make,
     parse_facet_text,
     random_complex,
+    vector_json,
     whiskered_cycle,
 )
-from oracles import (antichain_families, closed_under_subsets, faces_of, join_by_labels,
-                     link_by_faces)
+from oracles import (antichain_families, closed_under_subsets, complexes_by_labels, faces_of,
+                     join_by_labels, link_by_faces)
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]  # the running 4-vertex example
 
@@ -161,12 +164,41 @@ def test_integer_labels_cost_what_their_strings_cost():
         from_facets([ints + [20_000]])
 
 
+def test_n_is_the_label_count_on_every_construction_path():
+    c = from_facets(EX3)
+    built = [c, from_facets([[]]), from_facets([]), SimplicialComplex(("a", "b"), [1, 2, 3]),
+             c.join(cycle(3)), c.link(["2"]), c.link(["1", "2", "3"]), c.suspension(),
+             parse_facet_text("facet x y\nfacet y z\n"), random_complex(3, 9, 4, 3),
+             boundary_simplex(3), full_simplex(2), cycle(5), cross_polytope(3), whiskered_cycle(4, 2),
+             make("cycle", 4), *enumerate_all_complexes(3)]
+    for x in built:
+        assert x.n == len(x.labels), x
+    assert [x.n for x in built[:7]] == [4, 0, 0, 2, 7, 3, 0]
+    assert [fine_e_polynomial(x).n for x in (c, built[1])] == [4, 0]
+
+
 # -- counting ---------------------------------------------------------------------
 
 def test_f_vector_examples():
     assert tuple(from_facets(EX3).f_vector()) == (1, 4, 5, 1)
     assert tuple(boundary_simplex(3).f_vector()) == (1, 4, 6, 4)
     assert tuple(from_facets([[]]).f_vector()) == (1,)
+
+
+def test_f_vector_is_built_once_per_complex():
+    import scx.complexes as complexes
+
+    c = from_facets(EX3)
+    with mock.patch.object(complexes, "FVector", wraps=complexes.FVector) as build:
+        f = c.f_vector()
+        classify(c)
+        vector_json(c.f_vector())
+        c.euler_characteristics()
+    assert build.call_count == 1 and c.f_vector() is f and c.f_vector() is c.f_vector()
+    void = from_facets([])
+    for _ in range(2):
+        with pytest.raises(VoidComplex):
+            void.f_vector()
 
 
 def test_dimension_and_purity():
@@ -466,6 +498,13 @@ def test_enumerate_matches_bruteforce_antichains(corpus3, corpus4):
             from_facets([[str(i + 1) for i in range(n) if mask >> i & 1] for mask in family])
             for family in families if family}
         assert set(corpus) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_matches_the_label_built_oracle(n):
+    # the same complexes, with the same labels, in the same order
+    assert [(c.labels, c.facet_masks) for c in enumerate_all_complexes(n)] == [
+        (c.labels, c.facet_masks) for c in complexes_by_labels(n)]
 
 
 def test_enumerate_bounds():

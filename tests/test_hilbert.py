@@ -34,7 +34,14 @@ from scx import (
 )
 from hypothesis import given, strategies as st
 
-from oracles import coarse_series_direct, faces_of, free_module_by_decimal, truncated_free_module_sum
+from oracles import (
+    coarse_series_direct,
+    faces_of,
+    free_module_by_decimal,
+    minimal_nonfaces_by_candidate_scan,
+    minimal_transversals_of_complements,
+    truncated_free_module_sum,
+)
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]
 
@@ -82,6 +89,32 @@ def test_minimal_nonfaces_do_not_keep_the_complex_alive():
     del c
     gc.collect()
     assert ref() is None
+
+
+def test_minimal_nonfaces_match_the_candidate_scan(corpus5, random_corpus):
+    for c in [*corpus5, *(c for c in random_corpus if not c.is_void), cross_polytope(7)]:
+        assert c._minimal_nonface_masks == minimal_nonfaces_by_candidate_scan(c), c
+
+
+def test_minimal_nonfaces_are_the_minimal_transversals_of_the_facet_complements(corpus4, corpus5):
+    for c in [*corpus4, *corpus5]:
+        assert c._minimal_nonface_masks == minimal_transversals_of_complements(c), c
+
+
+def test_minimal_nonfaces_and_graded_dimension_refuse_as_the_cover_does():
+    import scx.complexes as complexes
+
+    # 2^31 possible faces and no minimal non-face: refused by the bound, before any face
+    big = full_simplex(30)
+    message = f"2147483648, over the face budget of {complexes.FACE_BUDGET}"
+    for query in (lambda: minimal_nonfaces(big), lambda: graded_dimension(big, (1,) * 31)):
+        with pytest.raises(TooLarge, match=message):
+            query()
+    assert "_cover" not in big.__dict__
+    void = from_facets([])
+    for query in (lambda: minimal_nonfaces(void), lambda: graded_dimension(void, ())):
+        with pytest.raises(VoidComplex, match="the void complex has no faces"):
+            query()
 
 
 # -- graded dimensions ------------------------------------------------------------
