@@ -61,7 +61,6 @@ __all__ = [
     "cross_polytope",
     "whiskered_cycle",
     "make",
-    "GENERATORS",
     "enumerate_all_complexes",
     "random_complex",
     "bit_indices",
@@ -77,9 +76,11 @@ FACE_BUDGET = 1 << 22
 
 
 def bit_indices(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending; InvalidParameter for a negative mask."""
-    if mask < 0:
-        raise InvalidParameter(f"bit_indices needs a nonnegative mask, got {mask}")
+    """Indices of the set bits, ascending; InvalidParameter for a mask that is no
+    nonnegative int."""
+    # exact ints skip the isinstance call; bool and other int subclasses take it
+    if mask.__class__ is not int and not isinstance(mask, int) or mask < 0:
+        raise InvalidParameter(f"bit_indices needs a nonnegative mask, got {mask!r}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -108,12 +109,18 @@ def _check_label(raw) -> str:
     return raw
 
 
+def _check_collection(x, message: str) -> None:
+    """InvalidParameter for a bare string or bytes, which would split into its
+    characters, or for anything that is no collection."""
+    if isinstance(x, (str, bytes)) or not isinstance(x, Iterable):
+        raise InvalidParameter(f"{message}, got {x!r}")
+
+
 def _mask_of(index: dict[str, int], labels: Iterable) -> int:
     """The mask of a collection of labels, by the one label rule: InvalidParameter
     for a bare string or a non-collection, InvalidLabel for a malformed label and
     FaceNotInComplex for one that names no vertex."""
-    if isinstance(labels, (str, bytes)) or not isinstance(labels, Iterable):
-        raise InvalidParameter(f"a face is a collection of labels, got {labels!r}")
+    _check_collection(labels, "a face is a collection of labels")
     mask = 0
     for raw in labels:
         label = _check_label(raw)
@@ -146,8 +153,8 @@ class SimplicialComplex:
     """
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
-        labels = tuple(labels)
         try:  # one OR tells a negative mask, a bit past the labels and an unheld label
+            labels = tuple(labels)
             masks = set(facet_masks)
             ok = (reduce(or_, masks, 0) == (1 << len(labels)) - 1 and all(map(lt, labels, labels[1:]))
                   and " ".join(labels).split() == list(labels))  # each label one nonempty word
@@ -417,6 +424,7 @@ def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
     that fails, goes through the label rule one label at a time, which names
     the fault.
     """
+    _check_collection(facets, "from_facets needs a collection of facets")
     normalized: list[Iterable[str]] = []
     for facet in facets:
         if facet.__class__ is list or facet.__class__ is tuple:
@@ -427,6 +435,7 @@ def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
             if plain:
                 normalized.append(facet)
                 continue
+        _check_collection(facet, "a facet is a collection of labels")
         seen: dict[str, None] = {}
         for raw in facet:
             label = _check_label(raw)
@@ -453,6 +462,8 @@ def parse_facet_text(text: str) -> SimplicialComplex:
     only that line is the complex {}; a file with no facet lines at all is
     the void complex.
     """
+    if not isinstance(text, str):
+        raise InvalidParameter(f"parse_facet_text needs a str, got {text!r}")
     facet_lists: list[list[str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

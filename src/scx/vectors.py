@@ -13,16 +13,15 @@ Each vector determines the other two through invertible lower-triangular
 integer systems, all one binomial shift: with f(t) = sum_i f_{i-1} t^i, the
 e-polynomial is f(t - 1), and the reversed h-polynomial is the reversed
 f-polynomial at t - 1. The five transforms share that one kernel,
-:func:`_shift`; :func:`pascal_matrices`, :func:`shift_poly` and
-:func:`h_poly_from_f_poly` stay independent of it, so the tests can compare
-the transforms against them. Everything is exact: Python big integers
-throughout, and a polynomial evaluates exactly at an int or a Fraction. No
-float ever enters a transform. The vectors and polynomials are int tuples.
+:func:`_shift`; :func:`shift_poly` and :func:`h_poly_from_f_poly` stay
+independent of it, so the tests can compare the transforms against them.
+Everything is exact: Python big integers throughout, and a polynomial
+evaluates exactly at an int or a Fraction. No float ever enters a transform.
+The vectors and polynomials are int tuples.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable
 
 from .errors import InvalidParameter, NotAnEVector, NotAnHVector
@@ -37,7 +36,6 @@ __all__ = [
     "f_to_h",
     "h_to_f",
     "h_to_e",
-    "pascal_matrices",
     "f_polynomial",
     "e_polynomial",
     "h_polynomial",
@@ -95,8 +93,6 @@ class _IntVector(_Ints):
     def _validate(self) -> None:
         raise NotImplementedError
 
-    entries = property(tuple)  # the plain tuple
-
     @property
     def d(self) -> int:
         """Length minus one; equals dim(complex) + 1 for vectors of a complex."""
@@ -104,7 +100,7 @@ class _IntVector(_Ints):
 
 
 class FVector(_IntVector):
-    """Face counts ``(f_-1, f_0, ..., f_{d-1})``; ``entries[i]`` holds ``f_{i-1}``."""
+    """Face counts ``(f_-1, f_0, ..., f_{d-1})``; ``f[i]`` holds ``f_{i-1}``."""
 
     __slots__ = ()
 
@@ -218,27 +214,6 @@ def h_to_e(h: HVector | Iterable[int]) -> EVector:
     return f_to_e(h_to_f(h))
 
 
-def pascal_matrices(d: int):
-    """The four (d+1)x(d+1) signed Pascal matrices realizing the transforms.
-
-    Returns ``(A, A_inv, B, B_inv)`` as plain lists of integer rows:
-
-    * ``A[i][j] = (-1)^(i-j) C(i,j)``  -- row vector f maps to e via f^T A,
-    * ``A_inv[i][j] = C(i,j)`` -- entrywise absolute value of A, its inverse,
-    * ``B[i][j] = (-1)^(i-j) C(d-j, i-j)`` -- column vector f maps to h via B f,
-    * ``B_inv[i][j] = C(d-j, i-j)`` -- again the absolute value.
-
-    A * A_inv and B * B_inv are exactly the identity.
-    """
-    _check_int(d, "matrix size parameter d must be an int >= 0", 0)
-    size = d + 1
-    A = [[_sign(i - j) * comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]
-    A_inv = [[comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]
-    B = [[_sign(i - j) * comb(d - j, i - j) if j <= i else 0 for j in range(size)] for i in range(size)]
-    B_inv = [[comb(d - j, i - j) if j <= i else 0 for j in range(size)] for i in range(size)]
-    return A, A_inv, B, B_inv
-
-
 class IntPolynomial(_Ints):
     """Dense univariate polynomial over the integers, ascending degree.
 
@@ -310,10 +285,6 @@ class IntPolynomial(_Ints):
             power = power * base
         return result
 
-    def shift(self, c: int) -> "IntPolynomial":
-        """Exact substitution t -> t + c via binomial expansion."""
-        return self.compose_linear(1, c)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self):
@@ -350,7 +321,7 @@ def h_polynomial(h: HVector | Iterable[int]) -> IntPolynomial:
 def shift_poly(p: IntPolynomial | Iterable[int], c: int) -> IntPolynomial:
     """p(t + c), exactly. shift_poly(f_polynomial(f), -1) is the e-polynomial."""
     _check_int(c, "the shift c must be an int")
-    return _as(IntPolynomial, p, InvalidParameter).shift(c)
+    return _as(IntPolynomial, p, InvalidParameter).compose_linear(1, c)
 
 
 def h_poly_from_f_poly(f: FVector | Iterable[int]) -> IntPolynomial:

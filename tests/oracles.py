@@ -82,6 +82,27 @@ def h_by_monomial_counting(c):
     return h
 
 
+def pascal_matrices(d):
+    """The four (d+1)x(d+1) signed Pascal matrices realizing the transforms.
+
+    Returns ``(A, A_inv, B, B_inv)`` as plain lists of integer rows:
+
+    * ``A[i][j] = (-1)^(i-j) C(i,j)``  -- row vector f maps to e via f^T A,
+    * ``A_inv[i][j] = C(i,j)`` -- entrywise absolute value of A, its inverse,
+    * ``B[i][j] = (-1)^(i-j) C(d-j, i-j)`` -- column vector f maps to h via B f,
+    * ``B_inv[i][j] = C(d-j, i-j)`` -- again the absolute value.
+
+    A * A_inv and B * B_inv are exactly the identity.
+    """
+    size = d + 1
+    A = [[(-1) ** (i - j) * math.comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]
+    A_inv = [[math.comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]
+    B = [[(-1) ** (i - j) * math.comb(d - j, i - j) if j <= i else 0 for j in range(size)]
+         for i in range(size)]
+    B_inv = [[math.comb(d - j, i - j) if j <= i else 0 for j in range(size)] for i in range(size)]
+    return A, A_inv, B, B_inv
+
+
 def truncated_free_module_sum(a, x, order):
     """Direct truncated sum of x^b / b! over b >= a componentwise, |b| <= order."""
     n = len(a)

@@ -130,6 +130,7 @@ def test_constructor_keeps_the_maximal_masks_sorted():
     (("a b",), (1,)),               # a label that is two words
     (("",), (1,)),                  # an empty label
     ((1, 2), (3,)),                 # labels that are no strings
+    (None, (1,)),                   # labels that are no collection
 ])
 def test_constructor_refuses_masks_that_do_not_cover_the_labels(labels, masks):
     with pytest.raises(InvalidParameter, match="facet masks must cover exactly the strictly"):
@@ -141,6 +142,9 @@ def test_bit_indices_refuses_a_negative_mask():
     # -1 has endless set bits: next, not list, so a walk that never ends shows as a failure
     with pytest.raises(InvalidParameter, match="nonnegative mask, got -1"):
         next(bit_indices(-1))
+    for bad in (1.5, "a"):
+        with pytest.raises(InvalidParameter, match="nonnegative mask, got "):
+            next(bit_indices(bad))
 
 
 def test_integer_labels_cost_what_their_strings_cost():
@@ -288,7 +292,7 @@ def test_a_face_argument_is_a_collection_of_labels():
     assert c.has_face(["12", "3"]) and c.has_face((1, 2)) and not c.has_face(["9"])
     # a bare string would read as its characters: "12" as the face {1, 2}
     for bare in ("12", b"12", 5, None):
-        for query in (c.has_face, c.link):
+        for query in (c.has_face, c.link, from_facets, lambda facet: from_facets([["3"], facet])):
             with pytest.raises(InvalidParameter):
                 query(bare)
 
@@ -567,6 +571,9 @@ def test_parse_facet_text_forms():
         parse_facet_text("simplex 1 2\n")
     with pytest.raises(DuplicateVertexInFacet):
         parse_facet_text("facet 1 1\n")
+    for bad in (None, b"facet a"):
+        with pytest.raises(InvalidParameter, match="parse_facet_text needs a str"):
+            parse_facet_text(bad)
 
 
 def test_to_facet_text_frozen_forms():
