@@ -6,7 +6,7 @@ import math
 from decimal import Decimal, localcontext
 from itertools import combinations
 
-from scx import bit_indices, from_facets
+from scx import InvalidParameter, bit_indices, from_facets
 
 _FACT = [1.0]
 for _k in range(1, 80):
@@ -92,8 +92,11 @@ def pascal_matrices(d):
     * ``B[i][j] = (-1)^(i-j) C(d-j, i-j)`` -- column vector f maps to h via B f,
     * ``B_inv[i][j] = C(d-j, i-j)`` -- again the absolute value.
 
-    A * A_inv and B * B_inv are exactly the identity.
+    A * A_inv and B * B_inv are exactly the identity. A size that is not an
+    int >= 0 raises InvalidParameter, as the library's transforms do.
     """
+    if not isinstance(d, int) or d < 0:
+        raise InvalidParameter(f"matrix size parameter d must be an int >= 0, got {d!r}")
     size = d + 1
     A = [[(-1) ** (i - j) * math.comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]
     A_inv = [[math.comb(i, j) if j <= i else 0 for j in range(size)] for i in range(size)]

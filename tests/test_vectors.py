@@ -221,7 +221,6 @@ def test_euler_identities(corpus4):
 # -- Pascal matrices -----------------------------------------------------------------
 
 def test_pascal_small_cases():
-    assert pascal_matrices(0) == ([[1]], [[1]], [[1]], [[1]])
     A, A_inv, _, _ = pascal_matrices(1)
     assert A == [[1, 0], [-1, 1]]
     assert A_inv == [[1, 0], [1, 1]]
@@ -249,6 +248,13 @@ def test_pascal_matrices_agree_with_transforms():
     assert row_e == list(f_to_e(f))
     col_h = [sum(B[k][j] * f[j] for j in range(d + 1)) for k in range(d + 1)]
     assert col_h == list(f_to_h(f))
+
+
+def test_pascal_matrices_reject_negative_size():
+    assert pascal_matrices(0) == ([[1]], [[1]], [[1]], [[1]])
+    for bad in (-1, 1.5, "2"):
+        with pytest.raises(InvalidParameter):
+            pascal_matrices(bad)
 
 
 # the full simplex on 60 vertices adds d = 60, with entries far beyond 64 bits
