@@ -154,9 +154,10 @@ class SimplicialComplex:
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
         try:  # one OR tells a negative mask, a bit past the labels and an unheld label
+            ok = not isinstance(labels, str)  # a string would split into one-letter labels
             labels = tuple(labels)
             masks = set(facet_masks)
-            ok = (reduce(or_, masks, 0) == (1 << len(labels)) - 1 and all(map(lt, labels, labels[1:]))
+            ok = (ok and reduce(or_, masks, 0) == (1 << len(labels)) - 1 and all(map(lt, labels, labels[1:]))
                   and " ".join(labels).split() == list(labels))  # each label one nonempty word
         except TypeError:
             ok = False
@@ -549,8 +550,7 @@ GENERATORS = {
 
 def make(kind: str, *params: int) -> SimplicialComplex:
     """Dispatch to a named generator; '-' and '_' both accepted in the name."""
-    key = kind.replace("-", "_")
-    entry = GENERATORS.get(key)
+    entry = GENERATORS.get(kind.replace("-", "_")) if isinstance(kind, str) else None
     if entry is None:
         known = ", ".join(sorted(GENERATORS))
         raise InvalidParameter(f"unknown kind {kind!r} (known: {known})")
@@ -602,6 +602,7 @@ def random_complex(seed: int, n: int, facet_count: int, max_facet_size: int) -> 
     each facet are sampled without replacement from 1..n; vertices that end up
     in no facet simply do not occur in the complex.
     """
+    _check_int(seed, "the seed must be an int")  # random.Random's other seed types vary by version
     for x in (n, facet_count, max_facet_size):
         _check_int(x, "n, facet_count and max_facet_size must all be ints >= 1", 1)
     cap = min(max_facet_size, n)

@@ -6,7 +6,7 @@ import math
 from decimal import Decimal, localcontext
 from itertools import combinations
 
-from scx import InvalidParameter, bit_indices, from_facets
+from scx import IntPolynomial, InvalidParameter, bit_indices, from_facets, shift_poly
 
 _FACT = [1.0]
 for _k in range(1, 80):
@@ -230,6 +230,20 @@ def eulerian_sphere_by_link_sums(c):
     if chi_top != want:
         return False, f"chi_top={chi_top}, want {want} for a sphere"
     return True, None
+
+
+def link_identity_by_polynomials(c):
+    """Does e(t) + (-1)^(d+1) f(-t) == e_0 + (-1)^(d+1) hold as polynomials?
+
+    The conclusion of the vertex-link identity, by polynomial arithmetic on
+    f from faces_of and e(t) = f(t - 1), where the library reads it as weak
+    Property E, one coefficient at a time.
+    """
+    counts = f_vector_of(c)  # (f_-1, ..., f_{d-1})
+    f = IntPolynomial(counts)
+    e = shift_poly(f, -1)
+    sign = (-1) ** len(counts)  # (-1)^(d+1)
+    return e + sign * f.compose_linear(-1, 0) == IntPolynomial((e(0) + sign,))
 
 
 def fine_terms_by_submask_walk(c):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scx import boundary_simplex, evaluate_coarse, parse_facet_text
+from scx import boundary_simplex, evaluate_coarse, hilbert, parse_facet_text
 from scx.cli import run
 
 EX3_TEXT = "facet 1 2 3\nfacet 2 4\nfacet 3 4\n"
@@ -118,6 +118,12 @@ def test_series_defaults_omit_optional_keys(ex3_file):
     assert set(payload) == {"e"}
 
 
+def test_series_fine_exits_one_when_the_fine_series_disagrees(monkeypatch, ex3_file):
+    monkeypatch.setattr(hilbert, "coarse_from_fine", lambda fine: None)
+    assert cli(["series", "--fine", ex3_file]) == (
+        1, "", "scx: InternalInconsistency: fine series does not specialize to the e-vector\n")
+
+
 def strict_json(text):
     """json.loads that refuses NaN and Infinity, which RFC 8259 does not allow."""
     def refuse(name):
@@ -214,6 +220,13 @@ def test_oracle_verb(ex3_file):
     assert code == 0 and out == "ok: 81 degrees checked\n"
 
 
+def test_oracle_exits_one_when_a_coefficient_disagrees(monkeypatch, ex3_file):
+    monkeypatch.setattr(hilbert, "taylor_coefficient", lambda fine, a: -1)
+    assert cli(["oracle", ex3_file]) == (
+        1, "", "scx: InternalInconsistency: multidegree (0, 0, 0, 0): series coefficient "
+               "and graded dimension disagree\n")
+
+
 def test_oracle_refuses_huge_sweeps(tmp_path):
     path = tmp_path / "big.scx"
     path.write_text("facet " + " ".join(str(i) for i in range(1, 21)) + "\n")
@@ -274,6 +287,12 @@ def test_oracle_checks_its_usage_before_reading_the_input(tmp_path):
         2, "", "scx: usage error: --max-entry must be >= 0\n")
     assert cli(["oracle", "-", "--max-entry", "-1"], stdin_text="not facet text\n")[0] == 2
     assert cli(["oracle", missing, "--max-entry", "0"])[0] == 1
+
+
+def test_help_through_run_returns_zero(capsys):
+    assert run(["--help"], stdin=io.StringIO(), stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    out, err = capsys.readouterr()   # argparse prints the help to sys.stdout
+    assert out.startswith("usage: scx ") and err == ""
 
 
 def test_usage_errors_go_to_the_given_stderr(capsys):

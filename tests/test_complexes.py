@@ -131,6 +131,7 @@ def test_constructor_keeps_the_maximal_masks_sorted():
     (("",), (1,)),                  # an empty label
     ((1, 2), (3,)),                 # labels that are no strings
     (None, (1,)),                   # labels that are no collection
+    ("ab", (3,)),                   # a string, which would split into one-letter labels
 ])
 def test_constructor_refuses_masks_that_do_not_cover_the_labels(labels, masks):
     with pytest.raises(InvalidParameter, match="facet masks must cover exactly the strictly"):
@@ -458,6 +459,9 @@ def test_make_dispatch():
         boundary_simplex(0)
     with pytest.raises(InvalidParameter):
         whiskered_cycle(3, -1)
+    for args in ((None, 3), (3,)):   # a kind that is no string
+        with pytest.raises(InvalidParameter, match=f"^unknown kind {args[0]} "):
+            make(*args)
     assert make("full_simplex", True) == full_simplex(1)  # a bool counts as an int
 
 
@@ -548,6 +552,8 @@ def test_random_complex_parameter_validation():
         random_complex(0, 3, 0, 1)
     with pytest.raises(InvalidParameter):
         random_complex(0, 3, 1, 0)
+    with pytest.raises(InvalidParameter, match=r"^the seed must be an int, got \[1\]$"):
+        random_complex([1], 5, 3, 2)
 
 
 def test_closure_exhaustive(corpus3):

@@ -11,6 +11,7 @@ import pytest
 
 from scx import (
     DimensionMismatch,
+    InternalInconsistency,
     InvalidParameter,
     TooLarge,
     VoidComplex,
@@ -133,6 +134,15 @@ def test_graded_dimension_examples():
     # the degree is read before the faces: a wrong length on void is a mismatch
     with pytest.raises(DimensionMismatch):
         graded_dimension(from_facets([]), (1,))
+
+
+def test_graded_dimension_raises_when_its_two_tests_disagree(monkeypatch):
+    c = from_facets(EX3)
+    # with no minimal non-face, divisibility admits the non-face {1, 4}
+    monkeypatch.setattr(c, "_minimal_nonface_masks", ())
+    with pytest.raises(InternalInconsistency, match=r"^support test says False but divisibility says True "
+                                                     r"for \(1, 0, 0, 1\)$"):
+        graded_dimension(c, (1, 0, 0, 1))
 
 
 BAD_ENTRIES = [-1, 1.5, "1", None]

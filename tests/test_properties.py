@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from scx import (
     HypothesisNotMet,
     IntPolynomial,
+    InternalInconsistency,
     InvalidParameter,
     LinkIdentityResult,
     Verdict,
@@ -29,9 +30,11 @@ from scx import (
     is_connected,
     is_eulerian,
     is_eulerian_sphere,
+    random_complex,
     whiskered_cycle,
 )
-from oracles import connected_bfs, random_tree_with_extras
+from scx import properties
+from oracles import connected_bfs, link_identity_by_polynomials, random_tree_with_extras
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]
 
@@ -83,6 +86,8 @@ def test_classical_ds_examples():
     assert check_classical_ds(boundary_simplex(3)).ok
     assert check_classical_ds(whiskered_cycle(3, 1)).ok
     assert not check_classical_ds(from_facets(EX3)).ok
+    # the general equations' witness, with defect 0
+    assert check_classical_ds(from_facets([[1]])).witness == "k=0: h_0-h_1=1, want 0"
 
 
 def test_general_ds_examples():
@@ -103,7 +108,6 @@ def test_theorem_level_equivalences_exhaustive(corpus4):
 
 
 def test_theorem_level_equivalences_random():
-    from scx import random_complex
     for seed in range(10_000, 12_000):
         n = seed % 8 + 1
         c = random_complex(seed, n, facet_count=seed % 9 + 1,
@@ -172,6 +176,36 @@ def test_link_identity_examples():
     assert edge.ok and not edge.hypothesis_met   # links are points, vacuous
     with pytest.raises(InvalidParameter):
         check_link_identity(from_facets([[]]))   # no vertices
+    # every link has Property E, but the isolated vertex's link is {}, of dimension -1, not 0
+    lonely = check_link_identity(from_facets([[1], [2, 3], [2, 4], [3, 4]]))
+    assert lonely == (True, False, "link of vertex '1' has dimension -1, not 0; nothing to check")
+
+
+def test_link_identity_holds_whenever_its_hypothesis_does(corpus5):
+    met = 0
+    for c in corpus5[1:]:   # the first is {}, which has no vertex
+        result = check_link_identity(c)
+        assert result.ok or not result.hypothesis_met, c
+        met += result.hypothesis_met
+    assert met == 84
+
+
+def test_link_identity_reports_a_failing_conclusion(monkeypatch):
+    monkeypatch.setattr(properties, "check_weak_property_e", lambda c: Verdict(False, "k=1: forced"))
+    assert check_link_identity(boundary_simplex(3)) == (False, True, "identity fails: k=1: forced")
+
+
+def _families():
+    return ([boundary_simplex(d) for d in range(1, 8)] + [cross_polytope(d) for d in range(1, 6)]
+            + [full_simplex(d) for d in range(1, 8)] + [cycle(n) for n in range(3, 9)]
+            + [whiskered_cycle(n, k) for n in (3, 4, 6) for k in (0, 1, 2)]
+            + [cycle(3).join(cycle(4)), whiskered_cycle(3, 2).suspension()])
+
+
+def test_link_identity_conclusion_is_weak_property_e(corpus5):
+    draws = [random_complex(seed, seed % 9 + 1, seed % 8 + 1, seed % 5 + 1) for seed in range(400)]
+    for c in corpus5[1:] + draws + _families():
+        assert link_identity_by_polynomials(c) == check_weak_property_e(c).ok, c
 
 
 def test_results_are_true_exactly_when_ok():
@@ -212,8 +246,10 @@ def test_join_property_e():
     s0 = from_facets([[1], [2]])
     assert check_property_e(s0).ok
     assert check_join_property_e(s0, whiskered_cycle(3, 1))
-    with pytest.raises(HypothesisNotMet):
+    with pytest.raises(HypothesisNotMet, match=r"^first factor lacks Property E \(k=0: "):
         check_join_property_e(from_facets([[1, 2]]), cycle(3))
+    with pytest.raises(HypothesisNotMet, match=r"^second factor lacks Property E \(k=0: "):
+        check_join_property_e(cycle(3), from_facets([[1, 2]]))
 
 
 def test_suspension_of_whiskered_cycle_keeps_property_e():
@@ -280,6 +316,16 @@ def test_classify_examples():
 def test_classify_never_inconsistent(corpus4, random_corpus):
     for c in corpus4 + random_corpus[:150]:
         classify(c)   # raises InternalInconsistency on any cross-check failure
+
+
+@pytest.mark.parametrize("check, message", [
+    ("check_general_ds", "weak Property E is True but general Dehn-Sommerville is False"),
+    ("check_classical_ds", "Property E is True but classical Dehn-Sommerville is False"),
+])
+def test_classify_raises_when_the_h_side_disagrees(monkeypatch, check, message):
+    monkeypatch.setattr(properties, check, lambda c: Verdict(False, "forced"))
+    with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+        classify(boundary_simplex(3))
 
 
 # -- one-dimensional characterization -----------------------------------------------------------
