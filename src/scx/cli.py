@@ -137,7 +137,8 @@ def _read_complex(source: str, stdin) -> complexes.SimplicialComplex:
         text.encode("utf-8")
     except UnicodeError:
         raise FacetFormatError("input is not valid UTF-8") from None
-    return complexes.parse_facet_text(text)
+    # a leading byte-order mark, as some Windows editors write it, is no part of the text
+    return complexes.parse_facet_text(text.removeprefix("\ufeff"))
 
 
 def _dump(payload: dict) -> str:
@@ -148,7 +149,7 @@ def _cmd_info(args, stdin) -> str:
     c = _read_complex(args.input, stdin)
     if c.is_void and args.pretty:
         return "void complex (no faces)\n"
-    payload = {"kind": c.kind, "vertices": c.n, "labels": list(c.labels),
+    payload = {"kind": "void" if c.is_void else "nonvoid", "vertices": c.n, "labels": list(c.labels),
                "facets": [list(f) for f in c.facets()]}
     if not c.is_void:
         payload |= {"dimension": c.dimension(), "pure": c.is_pure(), "faces": sum(c.f_vector())}

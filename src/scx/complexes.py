@@ -6,8 +6,10 @@ indices 0..n-1 in sorted label order and every face is an integer bitmask
 over those indices, so subset tests and power-set walks are single-word
 operations at the sizes this library targets (a few dozen vertices). This
 module owns that format: the constructor keeps the facet masks a sorted
-antichain, ``_mask_of`` reads a collection of labels by the one label rule,
-and ``_listed`` lists masks in the one order, by size, then labels.
+antichain and ``_mask_of`` reads a collection of labels by the one label
+rule. There are two listing orders: ``_listed`` lists faces and subsets by
+size, then labels, while ``facets()``, and so ``to_facet_text``, ``scx info``
+and ``repr``, sorts the facets' label tuples lexicographically.
 
 Two degenerate complexes are kept apart deliberately: the *void* complex has
 no faces at all, not even the empty one, and every counting operation rejects
@@ -188,11 +190,6 @@ class SimplicialComplex:
         self.n = len(labels)
 
     # -- identity ---------------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        """'void' or 'nonvoid', as ``scx info`` reports it."""
-        return "void" if self.is_void else "nonvoid"
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -406,10 +403,7 @@ class SimplicialComplex:
         """Facet-list format: one 'facet <label> ...' line per facet."""
         if self.is_void:
             return "# void complex (no faces)\n"
-        lines = []
-        for face in self.facets():
-            lines.append(("facet " + " ".join(face)) if face else "facet")
-        return "\n".join(lines) + "\n"
+        return "".join(" ".join(("facet",) + face) + "\n" for face in self.facets())
 
 
 def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:

@@ -14,7 +14,8 @@ integer systems, all one binomial shift: with f(t) = sum_i f_{i-1} t^i, the
 e-polynomial is f(t - 1), and the reversed h-polynomial is the reversed
 f-polynomial at t - 1. The five transforms share that one kernel,
 :func:`_shift`; :func:`shift_poly` and :func:`h_poly_from_f_poly` stay
-independent of it, so the tests can compare the transforms against them.
+independent of it, each by Horner's rule over :class:`IntPolynomial`, so the
+tests can compare the transforms against them.
 Everything is exact: Python big integers throughout, and a polynomial
 evaluates exactly at an int or a Fraction. No float ever enters a transform.
 The vectors and polynomials are int tuples.
@@ -22,6 +23,7 @@ The vectors and polynomials are int tuples.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable
 
 from .errors import InvalidParameter, NotAnEVector, NotAnHVector
@@ -89,9 +91,6 @@ class _IntVector(_Ints):
             raise ValueError(f"{cls.__name__} cannot be empty")
         self._validate()
         return self
-
-    def _validate(self) -> None:
-        raise NotImplementedError
 
     @property
     def d(self) -> int:
@@ -243,11 +242,7 @@ class IntPolynomial(_Ints):
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             raise TypeError(f"an IntPolynomial adds only an IntPolynomial, not {type(other).__name__}")
-        a, b = (self, other) if len(self) >= len(other) else (other, self)
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return IntPolynomial(merged)
+        return IntPolynomial(a + b for a, b in zip_longest(self, other, fillvalue=0))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(-c for c in self)
@@ -260,8 +255,6 @@ class IntPolynomial(_Ints):
             return IntPolynomial(other * c for c in self)
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if not self or not other:
-            return IntPolynomial()
         out = [0] * (len(self) + len(other) - 1)
         for i, a in enumerate(self):
             if a:
@@ -275,14 +268,11 @@ class IntPolynomial(_Ints):
         return IntPolynomial(tuple(i * c for i, c in enumerate(self))[1:])
 
     def compose_linear(self, a: int, b: int) -> "IntPolynomial":
-        """Exact substitution t -> a*t + b."""
+        """Exact substitution t -> a*t + b, by Horner's rule."""
         result = IntPolynomial()
-        power = IntPolynomial((1,))
         base = IntPolynomial((b, a))
-        for c in self:
-            if c:
-                result = result + c * power
-            power = power * base
+        for c in reversed(self):
+            result = result * base + IntPolynomial((c,))
         return result
 
     def __call__(self, x):
@@ -327,17 +317,11 @@ def shift_poly(p: IntPolynomial | Iterable[int], c: int) -> IntPolynomial:
 def h_poly_from_f_poly(f: FVector | Iterable[int]) -> IntPolynomial:
     """Expand sum_i f_{i-1} t^i (1-t)^(d-i), the rational-substitution route
     (1-t)^d f(t/(1-t)) to the h-polynomial, without leaving integer arithmetic."""
-    f = _as(FVector, f, InvalidParameter)
-    d = f.d
     one_minus_t = IntPolynomial((1, -1))
-    powers = [IntPolynomial((1,))]
-    for _ in range(d):
-        powers.append(powers[-1] * one_minus_t)
     total = IntPolynomial()
-    for i in range(d + 1):
-        if f[i]:
-            t_i = IntPolynomial((0,) * i + (1,))
-            total = total + f[i] * t_i * powers[d - i]
+    # after step i, total = sum_{j<=i} f_{j-1} t^j (1-t)^(i-j)
+    for i, c in enumerate(_as(FVector, f, InvalidParameter)):
+        total = total * one_minus_t + IntPolynomial((0,) * i + (c,))
     return total
 
 

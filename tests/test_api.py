@@ -33,7 +33,7 @@ PACKAGE = [
 
 SIMPLICIAL_COMPLEX = [
     "dimension", "euler_characteristics", "f_vector", "faces", "facet_masks", "facets",
-    "has_face", "is_pure", "is_void", "join", "kind", "labels", "link", "n", "suspension",
+    "has_face", "is_pure", "is_void", "join", "labels", "link", "n", "suspension",
     "to_facet_text",
 ]
 

@@ -333,6 +333,21 @@ def test_non_utf8_input_exits_one(tmp_path, verb):
     assert out.getvalue() == "" and err.getvalue().startswith("scx: FacetFormatError: ")
 
 
+@pytest.mark.parametrize("verb", ["check", "series", "info"])
+@pytest.mark.parametrize("text", [EX3_TEXT, "# a comment first\r\n" + EX3_TEXT],
+                         ids=["facet-first", "comment-first"])
+def test_byte_order_mark_is_ignored(tmp_path, verb, text):
+    # Notepad and PowerShell 5 start a UTF-8 file with U+FEFF
+    plain = cli([verb, "-"], stdin_text=text)
+    assert plain[0] == 0
+    path = tmp_path / "bom.scx"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert cli([verb, str(path)]) == plain
+    stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8", errors="surrogateescape")
+    out, err = io.StringIO(), io.StringIO()
+    assert (run([verb, "-"], stdin=stdin, stdout=out, stderr=err), out.getvalue(), err.getvalue()) == plain
+
+
 def scx_subprocess(argv, data=b"", entry=("-c", "import sys; from scx.cli import main; sys.exit(main())")):
     """Run the scx entry point in a fresh interpreter with the given stdin bytes."""
     src = str(Path(__file__).resolve().parents[1] / "src")

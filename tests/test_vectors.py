@@ -289,6 +289,10 @@ def test_int_polynomial_arithmetic():
     assert q.derivative().coeffs == (0, 6)
     assert p(Fraction(1, 2)) == 2
     assert IntPolynomial()(5) == 0
+    zero = IntPolynomial()
+    assert p * zero == zero * p == zero * zero == zero   # a zero factor on either side
+    assert q + p == p + q and p + zero == zero + p == p          # unequal lengths, either order
+    assert p + IntPolynomial((-1, -2)) == zero and (q - IntPolynomial((0, 1, 3))).coeffs == (0, -1)
     with pytest.raises(ValueError):
         IntPolynomial((1.5,))
     # the operators stay arithmetic: a tuple or a float is no polynomial operand
@@ -327,6 +331,9 @@ def test_h_poly_from_f_poly_examples():
     assert h_poly_from_f_poly((1, 4, 6, 4)).coeffs == (1, 1, 1, 1)
     assert h_poly_from_f_poly((1, 4, 5, 1)).coeffs == (1, 1, 0, -1)
     assert h_poly_from_f_poly((1,)).coeffs == (1,)
+    # zero entries drop their terms: (1-t)^2 + t^2, and (1-t)^3 + 3t^3
+    assert h_poly_from_f_poly((1, 0, 1)).coeffs == (1, -2, 2)
+    assert h_poly_from_f_poly((1, 0, 0, 3)).coeffs == (1, -3, 3, 2)
 
 
 def test_h_poly_from_f_poly_matches_transform(corpus4):
@@ -339,6 +346,10 @@ def test_compose_linear_reflection():
     f = f_polynomial((1, 4, 6, 4))
     reflected = f.compose_linear(-1, 0)
     assert reflected.coeffs == (1, -4, 6, -4)
+    assert IntPolynomial().compose_linear(2, 5) == IntPolynomial()
+    assert IntPolynomial((7,)).compose_linear(2, 5) == IntPolynomial((7,))
+    assert f.compose_linear(0, 2) == IntPolynomial((f(2),))   # a = 0 leaves the constant f(b)
+    assert f.compose_linear(0, 0) == IntPolynomial((1,))
 
 
 # -- serialization -----------------------------------------------------------------------
