@@ -35,6 +35,7 @@ more) are all the fine table needs, for the Eulerian checks and the series.
 from __future__ import annotations
 
 import random as _random
+import sys
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, reduce
@@ -593,12 +594,15 @@ def random_complex(seed: int, n: int, facet_count: int, max_facet_size: int) -> 
     """Seed-deterministic complex: draw facets uniformly, then canonicalize.
 
     Facet sizes are uniform on 1..min(max_facet_size, n) and the vertices of
-    each facet are sampled without replacement from 1..n; vertices that end up
-    in no facet simply do not occur in the complex.
+    each facet are sampled without replacement from 1..n, so n is at most
+    sys.maxsize; vertices that end up in no facet simply do not occur in the
+    complex.
     """
     _check_int(seed, "the seed must be an int")  # random.Random's other seed types vary by version
     for x in (n, facet_count, max_facet_size):
         _check_int(x, "n, facet_count and max_facet_size must all be ints >= 1", 1)
+    if n > sys.maxsize:  # random.sample needs len(range(1, n + 1))
+        raise InvalidParameter(f"random_complex draws its vertices from 1..n, n at most {sys.maxsize}, got {n}")
     cap = min(max_facet_size, n)
     _check_listing(f"random_complex({seed}, {n}, {facet_count}, {max_facet_size})", facet_count * cap)
     rng = _random.Random(seed)

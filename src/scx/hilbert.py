@@ -202,8 +202,10 @@ def _tail(a: int, x: float) -> tuple[int, float]:
     the head sum_{k < a} x^k / k! is x^(a-1) / (a-1)! times sum_j (a-1)...(a-j) / x^j,
     whose terms fall from the first too; for x > a the head is less than
     exp(x), and for x < -a it is larger in size, so neither term cancels the other.
+    At x = +inf the tail is +inf for every a. An a past the double range raises
+    OverflowError.
     """
-    if a == 0:
+    if a == 0 or x == math.inf:
         return 1, x
     if x == 0:
         return 0, -math.inf
@@ -238,8 +240,9 @@ def free_module_series_eval(a: Sequence[int], x: Sequence[float]) -> float:
     and a log-magnitude without cancellation, and the factors combine by
     adding their logs, so a factor beyond the double range may meet one that
     brings it back. A value beyond the range is infinity of its sign, or 0.0;
-    TooLarge is raised where an infinite x_i meets a zero factor (0 * inf)
-    or an x_i is nan.
+    TooLarge is raised where an infinite x_i meets a zero factor (0 * inf),
+    an x_i is nan, or a nonzero x_i short of +inf meets an a_i too large for a
+    double to carry its factor's log (past about 10^305, where lgamma overflows).
     """
     try:
         mismatch = len(a) != len(x)
@@ -251,7 +254,11 @@ def free_module_series_eval(a: Sequence[int], x: Sequence[float]) -> float:
     for ai, xi in zip(a, x):
         if not isinstance(ai, int) or ai < 0:
             raise InvalidParameter(f"multidegree entries must be nonnegative integers, got {ai!r}")
-        factor_sign, factor_log = _tail(ai, _real(xi, "a point coordinate"))
+        xi = _real(xi, "a point coordinate")
+        try:
+            factor_sign, factor_log = _tail(ai, xi)
+        except OverflowError:
+            raise TooLarge(f"a degree entry of {ai.bit_length()} bits at {xi!r} is past the double range") from None
         sign *= factor_sign
         log_value += factor_log
     if math.isnan(log_value):

@@ -1,12 +1,15 @@
 """Hand-rolled reference computations, deliberately independent of the library
 paths they cross-check. They read a complex only through its labels and
-facet masks, and build their own faces from those."""
+facet masks, and build their own faces from those; link_identity_by_links
+alone builds each vertex link through SimplicialComplex.link, a route that
+shares no code with the cover count it checks."""
 
 import math
 from decimal import Decimal, localcontext
 from itertools import combinations
 
-from scx import IntPolynomial, InvalidParameter, bit_indices, from_facets, shift_poly
+from scx import (IntPolynomial, InvalidParameter, LinkIdentityResult, bit_indices, check_property_e,
+                 check_weak_property_e, from_facets, shift_poly)
 
 _FACT = [1.0]
 for _k in range(1, 80):
@@ -244,6 +247,26 @@ def link_identity_by_polynomials(c):
     e = shift_poly(f, -1)
     sign = (-1) ** len(counts)  # (-1)^(d+1)
     return e + sign * f.compose_linear(-1, 0) == IntPolynomial((e(0) + sign,))
+
+
+def link_identity_by_links(c):
+    """The vertex-link identity's result, building each vertex link as its own
+    complex through SimplicialComplex.link and checking it with the public
+    Property E check; the library counts the links' faces off its cover."""
+    d = c.dimension() + 1
+    if d < 1:
+        raise InvalidParameter("the identity needs at least one vertex")
+    for lab in c.labels:
+        link = c.link([lab])
+        if link.dimension() != d - 2:
+            return LinkIdentityResult(True, False, f"link of vertex {lab!r} has dimension {link.dimension()}, "
+                                                   f"not {d - 2}; nothing to check")
+        if not check_property_e(link).ok:
+            return LinkIdentityResult(True, False, f"link of vertex {lab!r} lacks Property E; nothing to check")
+    weak = check_weak_property_e(c)
+    if weak.ok:
+        return LinkIdentityResult(True, True)
+    return LinkIdentityResult(False, True, f"identity fails: {weak.witness}")
 
 
 def fine_terms_by_submask_walk(c):

@@ -404,6 +404,13 @@ def test_make_refuses_a_generator_over_the_face_budget(monkeypatch):
     assert (code, out) == (1, "") and err.startswith("scx: TooLarge: random_complex(3, 4, 7, 9) ")
 
 
+def test_make_random_past_the_largest_sample_range_exits_one():
+    code, out, err = cli(["make", "random", "1000000000000000000000000000000", "3", "2"])
+    assert (code, out) == (1, "")
+    assert err == ("scx: InvalidParameter: random_complex draws its vertices from 1..n, "
+                   f"n at most {sys.maxsize}, got 1000000000000000000000000000000\n")
+
+
 def test_void_input_exits_one_with_the_shared_guard():
     for argv in (["check", "-"], ["oracle", "-"], ["series", "--fine", "-"]):
         assert cli(argv, stdin_text="# no facets\n") == (

@@ -1,6 +1,7 @@
 """Construction, canonicalization, face enumeration and the generators."""
 
 import random
+import sys
 import time
 from unittest import mock
 
@@ -555,6 +556,11 @@ def test_random_complex_parameter_validation():
         random_complex(0, 3, 1, 0)
     with pytest.raises(InvalidParameter, match=r"^the seed must be an int, got \[1\]$"):
         random_complex([1], 5, 3, 2)
+    # random.sample draws from range(1, n + 1), whose length must fit a C ssize_t
+    with pytest.raises(InvalidParameter, match=f"n at most {sys.maxsize}, got {sys.maxsize + 1}$"):
+        random_complex(4, sys.maxsize + 1, 3, 2)
+    assert random_complex(4, sys.maxsize, 3, 2).facets() == (
+        ("1429366960706537028", "613493506904739668"), ("5067337601641261879",), ("951538679902697981",))
 
 
 def test_closure_exhaustive(corpus3):

@@ -321,6 +321,23 @@ def test_free_module_eval_meets_infinity():
         free_module_series_eval((2, 0), (0.0, math.inf))
     with pytest.raises(TooLarge):
         free_module_series_eval((1,), (math.nan,))
+    # at +inf every tail is +inf, whatever its degree, alone or beside a finite factor
+    for a in (1, 2, 3):
+        assert free_module_series_eval((a,), (math.inf,)) == math.inf
+        assert free_module_series_eval((a, 2), (math.inf, 1.5)) == math.inf
+        assert free_module_series_eval((2, a), (-0.5, math.inf)) == math.inf
+
+
+def test_free_module_eval_meets_a_degree_past_the_double_range():
+    # lgamma(a + 1) overflows past about 10^305, so a finite point there raises TooLarge
+    assert free_module_series_eval((10**305,), (0.5,)) == 0.0
+    for a, x in (((10**400,), (0.5,)), ((10**306,), (0.5,)), ((10**400, 1), (-math.inf, 1.0)),
+                 ((2**1024,), (1.7e308,))):
+        with pytest.raises(TooLarge, match="past the double range"):
+            free_module_series_eval(a, x)
+    # a zero factor and an infinite point need no double of the degree
+    assert free_module_series_eval((10**400,), (0.0,)) == 0.0
+    assert free_module_series_eval((10**400, 2), (math.inf, 1.0)) == math.inf
 
 
 def test_free_module_eval_validation():

@@ -11,6 +11,7 @@ from scx import (
     InternalInconsistency,
     InvalidParameter,
     LinkIdentityResult,
+    TooLarge,
     Verdict,
     VoidComplex,
     boundary_simplex,
@@ -34,7 +35,7 @@ from scx import (
     whiskered_cycle,
 )
 from scx import properties
-from oracles import connected_bfs, link_identity_by_polynomials, random_tree_with_extras
+from oracles import connected_bfs, link_identity_by_links, link_identity_by_polynomials, random_tree_with_extras
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]
 
@@ -179,6 +180,16 @@ def test_link_identity_examples():
     # every link has Property E, but the isolated vertex's link is {}, of dimension -1, not 0
     lonely = check_link_identity(from_facets([[1], [2, 3], [2, 4], [3, 4]]))
     assert lonely == (True, False, "link of vertex '1' has dimension -1, not 0; nothing to check")
+    # every link is an edge, of dimension 1, but an edge lacks Property E (e_0 = 0, not 1)
+    triangle = check_link_identity(from_facets([[1, 2, 3]]))
+    assert triangle == (True, False, "link of vertex '1' lacks Property E; nothing to check")
+    # the links are counted off the whole complex's cover, so its face budget
+    # applies even where vertex 1's own link, {}, would settle the hypothesis
+    big = from_facets([["1"], [str(i) for i in range(2, 25)]])
+    with pytest.raises(TooLarge, match="face budget"):
+        check_link_identity(big)
+    assert link_identity_by_links(big) == (True, False, "link of vertex '1' has dimension -1, not 21; "
+                                                        "nothing to check")
 
 
 def test_link_identity_holds_whenever_its_hypothesis_does(corpus5):
@@ -202,10 +213,19 @@ def _families():
             + [cycle(3).join(cycle(4)), whiskered_cycle(3, 2).suspension()])
 
 
-def test_link_identity_conclusion_is_weak_property_e(corpus5):
+def _link_identity_sample(corpus5):
     draws = [random_complex(seed, seed % 9 + 1, seed % 8 + 1, seed % 5 + 1) for seed in range(400)]
-    for c in corpus5[1:] + draws + _families():
+    return corpus5[1:] + draws + _families()
+
+
+def test_link_identity_conclusion_is_weak_property_e(corpus5):
+    for c in _link_identity_sample(corpus5):
         assert link_identity_by_polynomials(c) == check_weak_property_e(c).ok, c
+
+
+def test_link_identity_matches_the_links_built_one_by_one(corpus5):
+    for c in _link_identity_sample(corpus5):
+        assert check_link_identity(c) == link_identity_by_links(c), c
 
 
 def test_results_are_true_exactly_when_ok():
