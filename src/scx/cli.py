@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from itertools import product
 
@@ -26,6 +27,11 @@ class _Usage(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # any negative number is a value; argparse's own pattern takes '-1e-3' for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _Usage(message)
 
@@ -137,8 +143,7 @@ def _read_complex(source: str, stdin) -> complexes.SimplicialComplex:
         text.encode("utf-8")
     except UnicodeError:
         raise FacetFormatError("input is not valid UTF-8") from None
-    # a leading byte-order mark, as some Windows editors write it, is no part of the text
-    return complexes.parse_facet_text(text.removeprefix("\ufeff"))
+    return complexes.parse_facet_text(text)
 
 
 def _dump(payload: dict) -> str:

@@ -457,11 +457,16 @@ def parse_facet_text(text: str) -> SimplicialComplex:
     skipped. A lone 'facet' line denotes the empty face, so a file containing
     only that line is the complex {}; a file with no facet lines at all is
     the void complex.
+
+    Lines end at LF, CRLF or CR, as open() reads a file; other whitespace,
+    form feed and U+2028 included, is comment text or separates labels. One
+    leading U+FEFF is skipped. Every scx verb reads its input through here.
     """
     if not isinstance(text, str):
         raise InvalidParameter(f"parse_facet_text needs a str, got {text!r}")
     facet_lists: list[list[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

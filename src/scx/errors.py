@@ -30,11 +30,17 @@ class TooLarge(ScxError):
 
 
 class NotAnEVector(ScxError):
-    """The given sequence is not the e-vector of any simplicial complex."""
+    """The sequence fails the EVector checks, or its face counts fail the FVector ones.
+
+    Passing them does not make it the e-vector of a complex: Kruskal-Katona is not checked.
+    """
 
 
 class NotAnHVector(ScxError):
-    """The given sequence is not the h-vector of any simplicial complex."""
+    """The sequence fails the HVector checks, or its face counts fail the FVector ones.
+
+    Passing them does not make it the h-vector of a complex: Kruskal-Katona is not checked.
+    """
 
 
 class DimensionMismatch(ScxError):

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, _listed, _mask_of
 from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter, ScxError, TooLarge
-from .vectors import EVector, e_polynomial
+from .vectors import EVector, _check_int, e_polynomial
 
 __all__ = [
     "FineEPolynomial",
@@ -252,8 +252,7 @@ def free_module_series_eval(a: Sequence[int], x: Sequence[float]) -> float:
         raise DimensionMismatch(f"degree length {len(a)} != point length {len(x)}")
     sign, log_value = 1, 0.0
     for ai, xi in zip(a, x):
-        if not isinstance(ai, int) or ai < 0:
-            raise InvalidParameter(f"multidegree entries must be nonnegative integers, got {ai!r}")
+        _check_int(ai, "multidegree entries must be nonnegative integers", 0)
         xi = _real(xi, "a point coordinate")
         try:
             factor_sign, factor_log = _tail(ai, xi)

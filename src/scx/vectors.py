@@ -117,8 +117,8 @@ class EVector(_IntVector):
 
     Always sums to 1 (the series value at t = 0 counts only the empty face)
     and has positive leading coefficient e_d = f_{d-1}. These two checks do
-    not characterize e-vectors; full validity is decided by round-tripping
-    through :func:`e_to_f`.
+    not characterize e-vectors, and neither does :func:`e_to_f`'s check of
+    the face counts.
     """
 
     __slots__ = ()
@@ -142,14 +142,14 @@ class HVector(_IntVector):
             raise ValueError("h-vector entries must sum to f_{d-1} >= 1")
 
 
-def _as(cls, v, error):
-    """v as a cls vector, the constructor's complaint raised as the typed error."""
+def _as(cls, v, error, prefix: str = ""):
+    """v as a cls vector; the constructor's complaint is raised, after prefix, as the typed error."""
     if isinstance(v, cls):
         return v
     try:
         return cls(v)
     except (ValueError, TypeError) as exc:
-        raise error(str(exc)) from exc
+        raise error(prefix + str(exc)) from exc
 
 
 def _shift(coeffs, c: int) -> list[int]:
@@ -174,14 +174,13 @@ def f_to_e(f: FVector | Iterable[int]) -> EVector:
 def e_to_f(e: EVector | Iterable[int]) -> FVector:
     """Inverse transform: f_{i-1} = sum_{j=i..d} C(j,i) e_j, i.e. f(t) = e(t + 1).
 
-    Raises NotAnEVector when the result is not a plausible f-vector (a
-    negative count, or f_-1 != 1).
+    Raises NotAnEVector when the result fails the FVector checks (f_-1 = 1,
+    no negative count, a top count of at least 1). Counts that pass need not
+    be any complex's: ``e_to_f((2, -2, 1))`` is (1, 0, 1), an edge without
+    vertices; the Kruskal-Katona inequalities are not checked.
     """
     entries = tuple(_shift(_as(EVector, e, NotAnEVector), 1))
-    try:
-        return FVector(entries)
-    except ValueError as exc:
-        raise NotAnEVector(f"no complex has face counts {entries}: {exc}") from exc
+    return _as(FVector, entries, NotAnEVector, f"no complex has face counts {entries}: ")
 
 
 def f_to_h(f: FVector | Iterable[int]) -> HVector:
@@ -193,14 +192,12 @@ def f_to_h(f: FVector | Iterable[int]) -> HVector:
 def h_to_f(h: HVector | Iterable[int]) -> FVector:
     """Inverse transform: f_{i-1} = sum_{j=0..i} C(d-j, i-j) h_j.
 
-    Raises NotAnHVector when the round trip does not land on a valid f-vector.
+    Raises NotAnHVector when the result fails the FVector checks, as e_to_f
+    does: ``h_to_f((1, 0, -1, 1))`` is (1, 3, 2, 1), a triangle with two edges.
     """
     h = _as(HVector, h, NotAnHVector)
     entries = tuple(reversed(_shift(reversed(h), 1)))
-    try:
-        return FVector(entries)
-    except ValueError as exc:
-        raise NotAnHVector(f"no complex has face counts {entries}: {exc}") from exc
+    return _as(FVector, entries, NotAnHVector, f"no complex has face counts {entries}: ")
 
 
 def h_to_e(h: HVector | Iterable[int]) -> EVector:

@@ -11,6 +11,10 @@ from itertools import combinations
 from scx import (IntPolynomial, InvalidParameter, LinkIdentityResult, bit_indices, check_property_e,
                  check_weak_property_e, from_facets, shift_poly)
 
+# VT, FF, FS, GS, RS, NEL, LINE SEPARATOR and PARAGRAPH SEPARATOR: whitespace, and line ends
+# to str.splitlines(), but not to universal newlines, as open() and sys.stdin read a file
+NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 _FACT = [1.0]
 for _k in range(1, 80):
     _FACT.append(_FACT[-1] * _k)

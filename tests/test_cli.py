@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from scx import boundary_simplex, evaluate_coarse, hilbert, parse_facet_text
 from scx.cli import run
+from oracles import NOT_LINE_ENDS
 
 EX3_TEXT = "facet 1 2 3\nfacet 2 4\nfacet 3 4\n"
 
@@ -149,6 +150,25 @@ def test_series_eval_overflow_is_the_string_inf(argv, value):
     code, out, err = cli(["series", "-"] + argv, stdin_text=PATH_TEXT)
     assert code == 0 and err == ""
     assert strict_json(out)["eval"] == {"t": float(argv[1]), "value": value}
+
+
+@pytest.mark.parametrize("t, value", [("-1e-3", -0.001), ("-2.5E+1", -25.0), ("-.5e2", -50.0),
+                                      ("-0.001", -0.001), ("-3", -3.0)])
+def test_series_eval_takes_a_negative_number_in_any_form(t, value):
+    # a separate argument, as well as after '='
+    for argv in (["--eval", t], [f"--eval={t}"]):
+        code, out, err = cli(["series", "-"] + argv, stdin_text=PATH_TEXT)
+        assert (code, err) == (0, "")
+        assert strict_json(out)["eval"] == {"t": value, "value": evaluate_coarse((0, -1, 2), value)}
+
+
+@pytest.mark.parametrize("t, message", [
+    ("-inf", "argument --eval: expected one argument"),
+    ("nan", "--eval needs a finite number, got nan"),
+    ("-1e999", "--eval needs a finite number, got -inf"),
+])
+def test_series_eval_refuses_a_separate_non_finite_t(t, message):
+    assert cli(["series", "-", "--eval", t], stdin_text=PATH_TEXT) == (2, "", f"scx: usage error: {message}\n")
 
 
 def test_series_eval_overflow_pretty():
@@ -338,6 +358,7 @@ def test_non_utf8_input_exits_one(tmp_path, verb):
                          ids=["facet-first", "comment-first"])
 def test_byte_order_mark_is_ignored(tmp_path, verb, text):
     # Notepad and PowerShell 5 start a UTF-8 file with U+FEFF
+    assert parse_facet_text("\ufeff" + text) == parse_facet_text(text)
     plain = cli([verb, "-"], stdin_text=text)
     assert plain[0] == 0
     path = tmp_path / "bom.scx"
@@ -346,6 +367,29 @@ def test_byte_order_mark_is_ignored(tmp_path, verb, text):
     stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8", errors="surrogateescape")
     out, err = io.StringIO(), io.StringIO()
     assert (run([verb, "-"], stdin=stdin, stdout=out, stderr=err), out.getvalue(), err.getvalue()) == plain
+
+
+SAME_TEXTS = ([f"# note{ch}facet z\nfacet a b\n" for ch in NOT_LINE_ENDS]
+              + [f"facet a{ch}b\n" for ch in NOT_LINE_ENDS]
+              + ["# c\r\nfacet a b\r\n", "# c\rfacet a b\r", "# c\r\nfacet a\rfacet a b\n",
+                 "\ufeff# c\rfacet a b\r\n", "# only\u2028facet z\n"])
+
+
+@pytest.mark.parametrize("text", SAME_TEXTS, ids=repr)
+def test_info_reads_what_parse_facet_text_reads(tmp_path, text):
+    # a file and stdin decode with universal newlines; nothing else may split a line
+    c = parse_facet_text(text)
+    want = cli(["info", "-"], stdin_text=c.to_facet_text())
+    assert want[0] == 0 and c.is_void == ("facet a" not in text)
+    assert cli(["info", "-"], stdin_text=text) == want
+    path = tmp_path / "in.scx"
+    path.write_bytes(text.encode())
+    assert cli(["info", str(path)]) == want
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", errors="surrogateescape")
+    out, err = io.StringIO(), io.StringIO()
+    assert (run(["info", "-"], stdin=stdin, stdout=out, stderr=err), out.getvalue(), err.getvalue()) == want
+    if not c.is_void:
+        assert json.loads(want[1])["facets"] == [["a", "b"]]
 
 
 def scx_subprocess(argv, data=b"", entry=("-c", "import sys; from scx.cli import main; sys.exit(main())")):

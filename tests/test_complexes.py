@@ -33,7 +33,7 @@ from scx import (
     vector_json,
     whiskered_cycle,
 )
-from oracles import (antichain_families, closed_under_subsets, complexes_by_labels, faces_of,
+from oracles import (NOT_LINE_ENDS, antichain_families, closed_under_subsets, complexes_by_labels, faces_of,
                      join_by_labels, link_by_faces)
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]  # the running 4-vertex example
@@ -587,6 +587,49 @@ def test_parse_facet_text_forms():
     for bad in (None, b"facet a"):
         with pytest.raises(InvalidParameter, match="parse_facet_text needs a str"):
             parse_facet_text(bad)
+
+
+def test_not_line_ends_are_every_other_splitlines_boundary():
+    breaks = {chr(i) for i in range(0x10000) if len(f"a{chr(i)}b".splitlines()) > 1}
+    assert breaks == set(NOT_LINE_ENDS) | {"\n", "\r"}
+    assert all(ch.isspace() for ch in NOT_LINE_ENDS)
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_ENDS, ids=repr)
+def test_only_universal_newlines_end_a_line(ch):
+    # inside a comment the character is comment text, so no facet hides behind it
+    assert parse_facet_text(f"# note{ch}facet z\nfacet a b\n") == from_facets([["a", "b"]])
+    assert parse_facet_text(f"# note{ch}facet z\n").is_void
+    # inside a facet line it separates labels like any other whitespace
+    assert parse_facet_text(f"facet a{ch}b\n") == from_facets([["a", "b"]])
+    assert parse_facet_text(f"{ch}facet a b{ch}\n") == from_facets([["a", "b"]])
+    # so an error names the whole line, numbered by universal newlines alone
+    with pytest.raises(FacetFormatError) as info:
+        parse_facet_text(f"facet a\nsimplex{ch}b\nfacet c\n")
+    assert str(info.value) == f"line 2: expected a 'facet' line, got {f'simplex{ch}b'!r}"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_line_ends(end):
+    lines = ["# four vertices", "facet 1 2 3", "", "facet 2 4", "  facet 3 4  ", "# done"]
+    assert parse_facet_text(end.join(lines) + end) == from_facets(EX3)
+    assert parse_facet_text(end.join(lines)) == from_facets(EX3)
+    # error line numbers count LF, CRLF and CR alone, each as one line end
+    with pytest.raises(FacetFormatError, match=r"^line 4: expected a 'facet' line, got 'simplex 1 2'$"):
+        parse_facet_text(end.join(["# c", "facet 1", "", "simplex 1 2", "facet 2"]))
+
+
+def test_mixed_line_ends_and_the_byte_order_mark():
+    assert parse_facet_text("facet 1 2 3\r\nfacet 2 4\rfacet 3 4\n") == from_facets(EX3)
+    with pytest.raises(FacetFormatError, match=r"^line 3: expected a 'facet' line, got 'simplex'$"):
+        parse_facet_text("facet 1\r\n\rsimplex\r\n")
+    # one leading U+FEFF is skipped; a second one, or one further on, is text
+    assert parse_facet_text("\ufeff# c\r\nfacet 1 2 3\nfacet 2 4\nfacet 3 4\n") == from_facets(EX3)
+    assert parse_facet_text("\ufeff").is_void
+    assert parse_facet_text("facet \ufeffa\n") == from_facets([["\ufeffa"]])
+    with pytest.raises(FacetFormatError) as info:
+        parse_facet_text("\ufeff\ufefffacet a\n")
+    assert str(info.value) == "line 1: expected a 'facet' line, got '\\ufefffacet a'"
 
 
 def test_to_facet_text_frozen_forms():

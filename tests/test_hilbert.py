@@ -153,7 +153,8 @@ def test_multidegree_entries_must_be_nonnegative_integers(bad):
     c = from_facets(EX3)
     p = fine_e_polynomial(c)
     a = (1, 0, bad, 0)
-    for query in (lambda: graded_dimension(c, a), lambda: taylor_coefficient(p, a)):
+    for query in (lambda: graded_dimension(c, a), lambda: taylor_coefficient(p, a),
+                  lambda: free_module_series_eval(a, (0.5,) * 4)):
         with pytest.raises(InvalidParameter) as info:
             query()
         assert str(info.value) == f"multidegree entries must be nonnegative integers, got {bad!r}"

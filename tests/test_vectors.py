@@ -14,6 +14,7 @@ from scx import (
     InvalidParameter,
     NotAnEVector,
     NotAnHVector,
+    ScxError,
     e_polynomial,
     e_to_f,
     evaluate_coarse,
@@ -80,13 +81,32 @@ def test_e_to_f_worked_examples():
     assert tuple(e_to_f((1,))) == (1,)
 
 
+def raised(func, arg):
+    """The error func(arg) raises: its type, its message and the type of its cause."""
+    with pytest.raises(ScxError) as info:
+        func(arg)
+    return type(info.value), str(info.value), type(info.value.__cause__)
+
+
 def test_e_to_f_rejects_non_e_vectors():
     # passes the cheap constructor checks (sum 1, positive leader) but the
     # face counts come out negative
-    with pytest.raises(NotAnEVector):
-        e_to_f((5, -6, 2))
-    with pytest.raises(NotAnEVector):
-        e_to_f((0, 0))  # constructor-level: sum != 1
+    counts = "no complex has face counts"
+    assert raised(e_to_f, (5, -6, 2)) == (NotAnEVector, f"{counts} (1, -2, 2): face counts cannot be negative",
+                                          ValueError)
+    assert raised(e_to_f, (3, -3, 1)) == (NotAnEVector, f"{counts} (1, -1, 1): face counts cannot be negative",
+                                          ValueError)
+    # constructor-level: sum != 1, a last entry below 1, no sequence at all
+    assert raised(e_to_f, (0, 0)) == (NotAnEVector, "e-vector entries must sum to 1", ValueError)
+    assert raised(e_to_f, (1, -3, 3, 0)) == (NotAnEVector, "leading e-vector entry must be positive", ValueError)
+    assert raised(e_to_f, 5) == (NotAnEVector, "'int' object is not iterable", TypeError)
+
+
+def test_inverse_transforms_check_less_than_kruskal_katona():
+    # the documented limit of the checks: counts that no complex has pass them
+    assert e_to_f((2, -2, 1)) == FVector((1, 0, 1))        # an edge without vertices
+    assert h_to_f((1, -2, 2)) == FVector((1, 0, 1))
+    assert h_to_f((1, 0, -1, 1)) == FVector((1, 3, 2, 1))  # a triangle with two edges
 
 
 # -- f <-> h ------------------------------------------------------------------
@@ -119,10 +139,15 @@ def test_h_to_f_worked_examples():
 
 
 def test_h_to_f_rejects_non_h_vectors():
-    with pytest.raises(NotAnHVector):
-        h_to_f((1, -5, 5))   # f_0 would be -3
-    with pytest.raises(NotAnHVector):
-        h_to_f((2, 0))       # constructor-level: h_0 != 1
+    counts = "no complex has face counts"
+    # f_0 would be -3, then -2
+    assert raised(h_to_f, (1, -5, 5)) == (NotAnHVector, f"{counts} (1, -3, 1): face counts cannot be negative",
+                                          ValueError)
+    assert raised(h_to_f, (1, -4, 4)) == (NotAnHVector, f"{counts} (1, -2, 1): face counts cannot be negative",
+                                          ValueError)
+    # constructor-level: h_0 != 1, no sequence at all
+    assert raised(h_to_f, (2, 0)) == (NotAnHVector, "h_0 must be 1", ValueError)
+    assert raised(h_to_f, None) == (NotAnHVector, "'NoneType' object is not iterable", TypeError)
 
 
 # -- h -> e ---------------------------------------------------------------------
@@ -145,8 +170,8 @@ def test_h_to_e_equals_composition(corpus4, random_corpus):
 
 
 def test_h_to_e_rejects_non_h_vectors():
-    with pytest.raises(NotAnHVector):
-        h_to_e((1, -5, 5))
+    assert raised(h_to_e, (1, -5, 5)) == (
+        NotAnHVector, "no complex has face counts (1, -3, 1): face counts cannot be negative", ValueError)
 
 
 # -- typed errors on malformed vectors -----------------------------------------------
