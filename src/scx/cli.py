@@ -29,8 +29,10 @@ class _Usage(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # any negative number is a value; argparse's own pattern takes '-1e-3' for an option
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # any negative number float() reads is a value, digit-grouping underscores
+        # included; argparse's own pattern takes '-1e-3' for an option
+        d = r"\d(?:_?\d)*"
+        self._negative_number_matcher = re.compile(rf"^-({d}(?:\.(?:{d})?)?|\.{d})(?:[eE][-+]?{d})?$")
 
     def error(self, message):
         raise _Usage(message)

@@ -15,31 +15,33 @@ Two degenerate complexes are kept apart deliberately: the *void* complex has
 no faces at all, not even the empty one, and every counting operation rejects
 it with :class:`~scx.errors.VoidComplex`; the complex ``{}`` whose only face
 is the empty face is perfectly ordinary, with dimension -1 and face count
-vector ``(1,)``. The rule lives with the faces: the cover raises
-VoidComplex, as do the queries that read the facets first (membership,
-dimension, purity, links and joins), so whatever reads one of them first
-needs no check of its own.
+vector ``(1,)``. The rule lives with the faces: the face budget's check
+raises VoidComplex before the cover or the shared faces are built, as do the
+queries that read the facets first (membership, dimension, purity, links and
+joins), so whatever reads one of them first needs no check of its own.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination. A complex builds its
 derived tables on first use and keeps them for its lifetime; nothing is
 cached at module level; the vertex count ``n`` is a plain attribute, and
 ``f_vector()`` returns the one FVector built on first use. Membership and
-links read the facets alone. One walk over the facets' submasks gives the
-cover, every face with the number of facets that contain it: its keys are
-the face set, which the f-vector counts and the level-wise search for the
-minimal non-faces tests against, and its shared faces (in two facets or
-more) are all the fine table needs, for the Eulerian checks and the series.
+links read the facets alone. One depth-first search finds the shared faces
+S, those in two facets or more, each with the number of facets that contain
+it: the f-vector follows from them and the facet sizes, and they are all
+the fine table needs, for the Eulerian checks and the series. One walk over
+the facets' submasks gives the cover, every face with its count; its keys
+are the face set, which ``faces()``, ``graded_dimension``, the level-wise
+search for the minimal non-faces and the vertex-link counts read.
 """
 
 from __future__ import annotations
 
 import random as _random
 import sys
-from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, reduce
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
+from math import comb
 from operator import lt, or_
 from typing import Iterable, Iterator
 
@@ -70,11 +72,16 @@ __all__ = [
 ]
 
 
-# The most faces the cover may count, checked against the cheap upper bound
-# sum over facets of 2^|F| before any face is counted. On 64-bit CPython 3.11 a
-# face costs 72-91 bytes in the finished cover (up to 121 while it grows), so
-# a full budget holds about 0.4 GB. The generators hold the vertex entries of
-# the facet lists they build to the same number.
+# The most faces the cover or the shared faces may hold, checked against the
+# cheap upper bound sum over facets of 2^|F| before any face is built. On
+# 64-bit CPython 3.11 (VmHWM, one process per scx verb) the cover keeps about
+# 77 bytes a face and peaks at 105-130 while it grows: 434 MB for the full
+# budget of full_simplex(21). The shared faces number at most half the bound
+# and keep about 72 bytes each, and the fine table built from them peaks at
+# about 152 bytes a shared face: on two 21-vertex facets sharing 20 vertices,
+# at the budget, `scx vectors` and `scx check` peak at 97 MB and
+# `scx series --fine` at 167 MB. The generators hold the vertex entries of the
+# facet lists they build to the same number.
 FACE_BUDGET = 1 << 22
 
 
@@ -212,21 +219,67 @@ class SimplicialComplex:
 
     # -- faces --------------------------------------------------------------
 
-    @cached_property
-    def _cover(self) -> Counter[int]:
-        """Every face mask, the empty face included, with m(sigma), the number
-        of facets that contain it (VoidComplex for void): its keys are the face set.
-
-        One walk over each facet's submasks counts them. Raises TooLarge,
-        before counting anything, when the facets could hold more than
-        FACE_BUDGET faces.
-        """
+    def _check_budget(self) -> None:
+        """VoidComplex for void; TooLarge when the facets could hold more than
+        FACE_BUDGET faces, by the bound sum over facets of 2^|F|."""
         self._require_faces()
         bound = sum(1 << m.bit_count() for m in self.facet_masks)
         if bound > FACE_BUDGET:
             raise TooLarge(f"the facets bound the face count by {bound}, "
                            f"over the face budget of {FACE_BUDGET}")
+
+    @cached_property
+    def _cover(self) -> Counter[int]:
+        """Every face mask, the empty face included, with m(sigma), the number
+        of facets that contain it: its keys are the face set.
+
+        One walk over each facet's submasks counts them, after the face
+        budget's check: VoidComplex or TooLarge before anything is counted.
+        """
+        self._check_budget()
         return Counter(chain.from_iterable(map(_submasks, self.facet_masks)))
+
+    @cached_property
+    def _shared(self) -> dict[int, int]:
+        """The shared faces S, those in two facets or more, each mask with
+        m(sigma), the number of facets that contain it, in the pre-order of
+        one depth-first search (VoidComplex for void).
+
+        The search keeps one facet bitset per vertex, bit j set when the j-th
+        facet holds the vertex. A child of a face adds a vertex above its top
+        one, and its bitset is the AND of the face's and the vertex's: it is
+        shared when that has two bits or more. S is closed downward, so a
+        vertex that failed for a face fails for its children too, and each
+        child tries only the vertices of its shared siblings (Eclat). The
+        search visits each shared face once and no other. Children go largest
+        vertex first, so a face's subtree is the run of masks after it, up to
+        the next one no larger than it. The face budget's check comes first,
+        so the recursion is at most 22 deep.
+        """
+        self._check_budget()
+        holders = [0] * self.n
+        bit = 1
+        for m in self.facet_masks:
+            for v in bit_indices(m):
+                holders[v] |= bit
+            bit <<= 1
+        shared: dict[int, int] = {}
+
+        def search(children: list[tuple[int, int]]) -> None:
+            # (face, facet bitset) of shared siblings, largest new vertex first
+            tried: list[tuple[int, int]] = []
+            for face, facets in children:
+                shared[face] = facets.bit_count()
+                if tried:
+                    below = [(face | f, x) for f, h in tried if (x := h & facets).bit_count() > 1]
+                    if below:
+                        search(below)
+                tried.append((face, facets))
+
+        if len(self.facet_masks) > 1:
+            shared[0] = len(self.facet_masks)
+            search([(1 << v, h) for v, h in reversed(list(enumerate(holders))) if h.bit_count() > 1])
+        return shared
 
     @cached_property
     def _minimal_nonface_masks(self) -> tuple[int, ...]:
@@ -283,26 +336,40 @@ class SimplicialComplex:
 
         The sum is a signed superset-sum transform over S: c starts at
         1 - m(sigma), and the pass for vertex v subtracts c(m) from c(m minus v)
-        for each shared m holding v. A pass reads only masks holding v and
-        writes only masks without it, so it may update values while it
-        iterates, and it starts at 2^v in the sorted shared faces, since no
-        smaller mask holds v. That is O(n * |S|) steps after the cover walk.
-        The facets form an antichain, so none of them is shared, and each
-        one's coefficient is set to 1. The build holds one dict and one
-        sorted list of S; zero terms are deleted in place.
+        for each shared m holding v. Those m are the subtrees of the search
+        entered through v, the faces whose top vertex is v, so each pass
+        walks only them. A face's pass runs when a walk over S in the
+        search's pre-order leaves its subtree, after its descendants' passes:
+        every pass then reads a face after each pass of a higher vertex has
+        written into it and before any pass of a lower one does, as running
+        the passes from the top vertex down would. That is one step per
+        (shared face, vertex) pair, and the build holds one dict, one list of
+        S and the open faces. The facets form an antichain, so none of them is
+        shared, and each one's coefficient is set to 1; zero terms are deleted
+        in place.
         """
-        c = {m: 1 - k for m, k in self._cover.items() if k > 1}
-        order = sorted(c)
-        for v in range(self.n):
-            bit = 1 << v
-            for m in order[bisect_left(order, bit):]:
-                if m & bit:
-                    c[m ^ bit] -= c[m]
+        shared = self._shared
+        c = {m: 1 - k for m, k in shared.items()}
+        order = list(shared)
+        # a face's subtree ends before the next face no larger than it: a leaf
+        # is a face the next one does not exceed, so its run is itself, and the
+        # other faces wait on a stack above the root, which no vertex enters
+        stack = [0]
+        for j, (face, after) in enumerate(zip(islice(order, 1, None), chain(islice(order, 2, None), (0,))), 1):
+            if after > face:
+                stack.append(j)
+                continue
+            c[face ^ 1 << face.bit_length() - 1] -= c[face]
+            while order[stack[-1]] > after:
+                i = stack.pop()
+                bit = 1 << order[i].bit_length() - 1
+                for x in order[i:j + 1]:
+                    c[x ^ bit] -= c[x]
         c.update(dict.fromkeys(self.facet_masks, 1))
         for m in [m for m, x in c.items() if not x]:
             del c[m]
         # a dict keeps its table after deletions: copy it when most faces dropped
-        return c if 2 * len(c) >= len(order) else dict(c)
+        return c if 2 * len(c) >= len(shared) else dict(c)
 
     def faces(self) -> list[tuple[str, ...]]:
         """All faces as label tuples, ordered by size then labels."""
@@ -343,15 +410,22 @@ class SimplicialComplex:
 
     @cached_property
     def _f_vector(self) -> FVector:
-        faces = self._cover  # first, for VoidComplex and the face budget
-        counts = [0] * (max(m.bit_count() for m in self.facet_masks) + 1)
-        for m in faces:
-            counts[m.bit_count()] += 1
+        shared = self._shared  # first, for VoidComplex and the face budget
+        sizes = [m.bit_count() for m in self.facet_masks]
+        counts = [0] * (max(sizes) + 1)
+        for s in set(sizes):
+            k = sizes.count(s)
+            for i in range(s + 1):
+                counts[i] += k * comb(s, i)
+        for m, k in shared.items():
+            counts[m.bit_count()] -= k - 1
         return FVector(counts)
 
     def f_vector(self) -> FVector:
-        """Exact face counts (f_-1, ..., f_{d-1}), by counting every face of the
-        cover: one FVector, built on first use and returned by every call."""
+        """Exact face counts (f_-1, ..., f_{d-1}), counting no face: the facets
+        count each face once per facet that holds it, so
+        f_k = sum over facets of C(|F|, k) - sum over shared sigma of size k of
+        (m(sigma) - 1). One FVector, built on first use and returned by every call."""
         return self._f_vector
 
     def euler_characteristics(self) -> tuple[int, int]:

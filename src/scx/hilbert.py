@@ -153,10 +153,11 @@ def fine_e_polynomial(c: SimplicialComplex) -> FineEPolynomial:
     sum over faces sigma containing tau of (-1)^(|sigma| - |tau|). It is 1 on
     a facet and 0 on a face in exactly one facet that is not the facet, so
     only the shared faces S (those in two facets or more) need a transform:
-    the cover walk plus O(n * |S|) steps. On a face it is 1 - chi_top(link
-    of tau). The polynomial shares the complex's fine table, which the
-    complex builds on first use (or already built for is_eulerian) and keeps
-    for its lifetime.
+    one depth-first search finds them, and each pass walks only the shared
+    faces that hold its vertex. On a face it is 1 - chi_top(link of tau).
+    The polynomial shares the complex's fine table, which the complex builds
+    on first use (or already built for is_eulerian) and keeps for its
+    lifetime.
     """
     return FineEPolynomial(c.labels, c.dimension() + 1, c._fine_terms, c._index)
 

@@ -134,15 +134,21 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     1 + (-1)^(d + dim sigma), i.e. the fine coefficient c_sigma, which is
     1 - chi_top(link of sigma), must be (-1)^(d - |sigma|). The coefficients
     come from the complex's fine table, built on first use and shared with
-    fine_e_polynomial. The witness names the first failing face in the
-    complex's listing order, by size, then labels: only the faces of the
-    smallest failing size are listed."""
+    fine_e_polynomial.
+
+    A face in one facet that is not that facet has a cone for its link, so
+    c = 0 there. When the faces number the shared faces plus the facets,
+    there is no such face, a facet's c = 1 is as wanted, and the shared faces
+    decide; otherwise the cover's faces do. The witness names the first
+    failing face in the complex's listing order, by size, then labels: only
+    the faces of the smallest failing size are listed."""
     if not c.is_pure():
         return Verdict(False, "not pure")
     d = c.dimension() + 1
     table = c._fine_terms
     wanted = [_sign(d - k) for k in range(d + 1)]
-    faces = c._cover
+    shared = c._shared
+    faces = shared if sum(c.f_vector()) == len(shared) + len(c.facet_masks) else c._cover
     size = min((m.bit_count() for m in faces if m and table.get(m, 0) != wanted[m.bit_count()]), default=0)
     if not size:
         return Verdict(True)

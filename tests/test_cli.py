@@ -153,7 +153,8 @@ def test_series_eval_overflow_is_the_string_inf(argv, value):
 
 
 @pytest.mark.parametrize("t, value", [("-1e-3", -0.001), ("-2.5E+1", -25.0), ("-.5e2", -50.0),
-                                      ("-0.001", -0.001), ("-3", -3.0)])
+                                      ("-0.001", -0.001), ("-3", -3.0), ("-1_0", -10.0),
+                                      ("-1_000.5", -1000.5), ("-2e1_0", -2e10), ("-1.", -1.0)])
 def test_series_eval_takes_a_negative_number_in_any_form(t, value):
     # a separate argument, as well as after '='
     for argv in (["--eval", t], [f"--eval={t}"]):
@@ -166,6 +167,7 @@ def test_series_eval_takes_a_negative_number_in_any_form(t, value):
     ("-inf", "argument --eval: expected one argument"),
     ("nan", "--eval needs a finite number, got nan"),
     ("-1e999", "--eval needs a finite number, got -inf"),
+    ("-1__0", "argument --eval: expected one argument"),  # float() refuses a doubled underscore too
 ])
 def test_series_eval_refuses_a_separate_non_finite_t(t, message):
     assert cli(["series", "-", "--eval", t], stdin_text=PATH_TEXT) == (2, "", f"scx: usage error: {message}\n")

@@ -404,6 +404,15 @@ def test_face_budget_refuses_before_enumerating(monkeypatch):
         from_facets([[1, 2, 3], [3, 4], [5]]).f_vector()
 
 
+def test_face_budget_message_is_the_same_for_the_shared_faces():
+    # the f-vector reads the shared faces, not the cover, behind the same check
+    big = full_simplex(30)
+    with pytest.raises(TooLarge) as refused:
+        big.f_vector()
+    assert str(refused.value) == "the facets bound the face count by 2147483648, over the face budget of 4194304"
+    assert "_shared" not in vars(big) and "_cover" not in vars(big)
+
+
 # each generator with the vertex entries its facet list holds, counted by hand
 GENERATOR_ENTRIES = [
     (boundary_simplex, (4,), 4 * 5),

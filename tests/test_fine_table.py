@@ -1,6 +1,7 @@
-"""The fine coefficient table, the Eulerian checks read off it and the lazy
-superset-sum table behind taylor_coefficient, against the brute-force link
-sums, subset walks, the all-faces zeta kernel and the term scans of oracles.py."""
+"""The shared faces, the fine coefficient table and the Eulerian checks read
+off them, and the lazy superset-sum table behind taylor_coefficient, against
+the cover, the brute-force link sums, subset walks, the all-faces zeta kernel
+and the term scans of oracles.py."""
 
 import io
 import random
@@ -292,6 +293,90 @@ def test_one_table_serves_the_complex_in_either_order():
         p = fine_e_polynomial(c)
         assert classify(c).eulerian_sphere
         assert p._terms is c._fine_terms
+
+
+# -- the shared faces -----------------------------------------------------------
+
+def _one_facet_complexes():
+    return [from_facets([[]]), from_facets([[1]]), from_facets([["a", "b"]])] + [full_simplex(d) for d in (1, 5, 9)]
+
+
+def _assert_shared_faces_match_the_cover(c):
+    assert c._shared == {m: k for m, k in c._cover.items() if k > 1}, c
+    assert tuple(c.f_vector()) == f_vector_of(c), c
+
+
+def test_shared_faces_match_the_cover(corpus4, corpus5):
+    cycles = [cycle(n) for n in range(3, 9)]
+    for c in [*corpus4, *corpus5, *_families(), *cycles, *_joins_and_suspensions(), *_one_facet_complexes()]:
+        _assert_shared_faces_match_the_cover(c)
+    for c, _ in _large_families():
+        _assert_shared_faces_match_the_cover(c)
+        assert c._fine_terms == fine_terms_by_zeta(c), c
+
+
+drawn_random_complexes = st.builds(random_complex, st.integers(0, 10**6), st.integers(1, 12),
+                                   st.integers(1, 24), st.integers(1, 8))
+
+
+@given(drawn_random_complexes)
+def test_shared_faces_match_the_cover_on_random_complexes(c):
+    _assert_shared_faces_match_the_cover(c)
+    assert c._fine_terms == fine_terms_by_zeta(c)
+
+
+def test_one_facet_shares_nothing_and_two_share_their_meet():
+    assert all(c._shared == {} for c in _one_facet_complexes())
+    c = from_facets([[1, 2, 3], [2, 3, 4]])  # {2, 3} and its faces, each in both facets
+    assert c._shared == {0: 2, 0b100: 2, 0b110: 2, 0b10: 2}
+
+
+def test_counting_and_the_table_never_build_the_cover():
+    # the f-vector, the fine table and a passing Eulerian check read the shared faces alone
+    for make in (lambda: cross_polytope(4), lambda: boundary_simplex(5), lambda: random_complex(2, 12, 30, 5)):
+        c = make()
+        c.f_vector()
+        assert "_cover" not in vars(c) and "_shared" in vars(c)
+        fine_e_polynomial(c)._terms
+        assert "_cover" not in vars(c)
+    for sphere in (cross_polytope(4), boundary_simplex(5), cross_polytope(2).join(boundary_simplex(2))):
+        report = classify(sphere)
+        assert report.eulerian_sphere and "_cover" not in vars(sphere), sphere
+
+
+def test_the_cli_counts_and_checks_without_the_cover(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the cover was built")
+
+    monkeypatch.setattr(SimplicialComplex, "_cover", property(refuse))
+    for c in (cross_polytope(3), random_complex(4, 10, 20, 4)):
+        text = c.to_facet_text()
+        for argv in (["check", "-"], ["vectors", "-"], ["info", "-"], ["series", "--fine", "-"]):
+            out, err = io.StringIO(), io.StringIO()
+            assert run(argv, stdin=io.StringIO(text), stdout=out, stderr=err) == 0, (argv, err.getvalue())
+    with pytest.raises(AssertionError, match="cover was built"):
+        cross_polytope(3).faces()
+
+
+@pytest.mark.parametrize("facets, witness", [
+    # {1 2} lies in one triangle: its link is a point, c = 0
+    ([[1, 2, 6], [1, 3, 5], [1, 3, 6], [1, 4, 5], [1, 5, 6], [2, 3, 4], [2, 3, 5], [2, 4, 5], [2, 4, 6],
+      [3, 4, 6]], "face {1 2}: link chi_top=1, want 2"),
+    # {1 2} lies in three triangles: its link is three points, c = -2
+    ([[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 3, 5], [1, 5, 6], [2, 3, 6], [2, 4, 6], [3, 4, 5], [3, 4, 6],
+      [4, 5, 6]], "face {1 2}: link chi_top=3, want 2"),
+    # every vertex is shared and every edge a facet, so the shared faces decide
+    ([[1, 2], [1, 3], [1, 4], [2, 3], [2, 4]], "face {1}: link chi_top=3, want 2"),
+    # the same failing vertex, beside a vertex in one edge
+    ([[1, 2], [1, 3], [1, 4], [2, 3]], "face {1}: link chi_top=3, want 2"),
+])
+def test_eulerian_witnesses_name_the_first_failing_face(facets, witness):
+    c = from_facets(facets)
+    assert is_eulerian(c) == (False, witness)
+    assert eulerian_by_link_sums(c) == (False, witness)
+    # the cover is read only when some face lies in one facet without being it
+    alone = sum(c.f_vector()) != len(c._shared) + len(c.facet_masks)
+    assert ("_cover" in vars(c)) == alone
 
 
 # -- the superset-sum table ----------------------------------------------------
