@@ -16,9 +16,9 @@ no faces at all, not even the empty one, and every counting operation rejects
 it with :class:`~scx.errors.VoidComplex`; the complex ``{}`` whose only face
 is the empty face is perfectly ordinary, with dimension -1 and face count
 vector ``(1,)``. The rule lives with the faces: the face budget's check
-raises VoidComplex before the cover or the shared faces are built, as do the
-queries that read the facets first (membership, dimension, purity, links and
-joins), so whatever reads one of them first needs no check of its own.
+raises VoidComplex before the face set or the shared faces are built, as do
+the queries that read the facets first (membership, dimension, purity, links
+and joins), so whatever reads one of them first needs no check of its own.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination. A complex builds its
@@ -27,18 +27,17 @@ cached at module level; the vertex count ``n`` is a plain attribute, and
 ``f_vector()`` returns the one FVector built on first use. Membership and
 links read the facets alone. One depth-first search finds the shared faces
 S, those in two facets or more, each with the number of facets that contain
-it: the f-vector follows from them and the facet sizes, and they are all
-the fine table needs, for the Eulerian checks and the series. One walk over
-the facets' submasks gives the cover, every face with its count; its keys
-are the face set, which ``faces()``, ``graded_dimension``, the level-wise
-search for the minimal non-faces and the vertex-link counts read.
+it: every face count follows from them and the facet sizes by one formula,
+the complex's and its vertex links', and they are all the fine table needs,
+for the Eulerian checks and the series. One walk over the facets' submasks
+gives the face set, which only ``faces()``, ``graded_dimension`` and the
+level-wise search for the minimal non-faces read, to list faces or look one up.
 """
 
 from __future__ import annotations
 
 import random as _random
 import sys
-from collections import Counter
 from functools import cached_property, reduce
 from itertools import chain, combinations, islice, product
 from math import comb
@@ -72,16 +71,16 @@ __all__ = [
 ]
 
 
-# The most faces the cover or the shared faces may hold, checked against the
+# The most faces the face set or the shared faces may hold, checked against the
 # cheap upper bound sum over facets of 2^|F| before any face is built. On
-# 64-bit CPython 3.11 (VmHWM, one process per scx verb) the cover keeps about
-# 77 bytes a face and peaks at 105-130 while it grows: 434 MB for the full
-# budget of full_simplex(21). The shared faces number at most half the bound
-# and keep about 72 bytes each, and the fine table built from them peaks at
-# about 152 bytes a shared face: on two 21-vertex facets sharing 20 vertices,
-# at the budget, `scx vectors` and `scx check` peak at 97 MB and
-# `scx series --fine` at 167 MB. The generators hold the vertex entries of the
-# facet lists they build to the same number.
+# 64-bit CPython 3.11 (VmHWM, one process) the face set of full_simplex(21),
+# the full budget, keeps about 72 bytes a face and peaks at 96 while it grows,
+# at 398 MB. The shared faces number at most half the bound and keep about 72
+# bytes each, and the fine table built from them peaks at about 152 bytes a
+# shared face: on two 21-vertex facets sharing 20 vertices, at the budget,
+# `scx vectors` and `scx check` peak at 97 MB and `scx series --fine` at
+# 167 MB. The generators hold the vertex entries of the facet lists they
+# build to the same number.
 FACE_BUDGET = 1 << 22
 
 
@@ -138,6 +137,20 @@ def _mask_of(index: dict[str, int], labels: Iterable) -> int:
             raise FaceNotInComplex(f"no vertex labeled {label!r}")
         mask |= 1 << index[label]
     return mask
+
+
+def _face_counts(facets: Iterable[int], shared: Iterable[tuple[int, int]]) -> list[int]:
+    """Face counts by size, by the formula of ``f_vector``, from an antichain of
+    facet masks and the (mask, m(sigma)) pairs of its shared faces."""
+    sizes = [m.bit_count() for m in facets]
+    counts = [0] * (max(sizes) + 1)
+    for s in set(sizes):
+        k = sizes.count(s)
+        for i in range(s + 1):
+            counts[i] += k * comb(s, i)
+    for m, k in shared:
+        counts[m.bit_count()] -= k - 1
+    return counts
 
 
 def _listed(labels: tuple[str, ...], masks: Iterable[int]) -> list[tuple[tuple[str, ...], int]]:
@@ -229,15 +242,12 @@ class SimplicialComplex:
                            f"over the face budget of {FACE_BUDGET}")
 
     @cached_property
-    def _cover(self) -> Counter[int]:
-        """Every face mask, the empty face included, with m(sigma), the number
-        of facets that contain it: its keys are the face set.
-
-        One walk over each facet's submasks counts them, after the face
-        budget's check: VoidComplex or TooLarge before anything is counted.
-        """
+    def _face_set(self) -> frozenset[int]:
+        """Every face mask, the empty face included, from one walk over each
+        facet's submasks, after the face budget's check: VoidComplex or
+        TooLarge before any face is built."""
         self._check_budget()
-        return Counter(chain.from_iterable(map(_submasks, self.facet_masks)))
+        return frozenset(chain.from_iterable(map(_submasks, self.facet_masks)))
 
     @cached_property
     def _shared(self) -> dict[int, int]:
@@ -289,12 +299,12 @@ class SimplicialComplex:
         A level's faces come in groups that differ only in their top vertex.
         Joining two of a group, a < b, gives every face and every minimal
         non-face one vertex larger, since dropping either of its top two
-        vertices leaves a face. A join outside the cover is a minimal non-face
-        when dropping each vertex that a and b share leaves a face too. That
-        is one cover lookup per joined pair, not one per face and vertex.
-        VoidComplex and the face budget's TooLarge come from the cover.
+        vertices leaves a face. A join outside the face set is a minimal
+        non-face when dropping each vertex that a and b share leaves a face
+        too. That is one face-set lookup per joined pair, not one per face and
+        vertex. VoidComplex and the face budget's TooLarge come from the face set.
         """
-        faces = self._cover
+        faces = self._face_set
         found: list[int] = []
         groups = [[1 << v for v in range(self.n)]]  # the vertices, every one a face
         while groups:
@@ -373,7 +383,7 @@ class SimplicialComplex:
 
     def faces(self) -> list[tuple[str, ...]]:
         """All faces as label tuples, ordered by size then labels."""
-        return [face for face, _ in _listed(self.labels, self._cover)]
+        return [face for face, _ in _listed(self.labels, self._face_set)]
 
     def facets(self) -> tuple[tuple[str, ...], ...]:
         """The maximal faces as sorted label tuples."""
@@ -410,16 +420,8 @@ class SimplicialComplex:
 
     @cached_property
     def _f_vector(self) -> FVector:
-        shared = self._shared  # first, for VoidComplex and the face budget
-        sizes = [m.bit_count() for m in self.facet_masks]
-        counts = [0] * (max(sizes) + 1)
-        for s in set(sizes):
-            k = sizes.count(s)
-            for i in range(s + 1):
-                counts[i] += k * comb(s, i)
-        for m, k in shared.items():
-            counts[m.bit_count()] -= k - 1
-        return FVector(counts)
+        # _shared raises VoidComplex and the face budget's TooLarge first
+        return FVector(_face_counts(self.facet_masks, self._shared.items()))
 
     def f_vector(self) -> FVector:
         """Exact face counts (f_-1, ..., f_{d-1}), counting no face: the facets

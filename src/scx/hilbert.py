@@ -134,7 +134,7 @@ def graded_dimension(c: SimplicialComplex, a: Sequence[int]) -> int:
     bug and raises InternalInconsistency.
     """
     support = _support_mask(c.n, a)
-    by_support = support in c._cover
+    by_support = support in c._face_set
     by_divisibility = True
     for nf in c._minimal_nonface_masks:
         if nf & support == nf:

@@ -16,19 +16,20 @@ a full and a weak form:
 
 The vertex-link identity e(t) + (-1)^(d+1) f(-t) = e_0 + (-1)^(d+1) is weak
 Property E read coefficientwise; its hypothesis is that every vertex link is
-(d-2)-dimensional with Property E. The links' f-vectors are counted from the
-complex's own cover, every face adding to the link of each of its vertices,
-so no link complex is built. :func:`classify` computes the e-side and
+(d-2)-dimensional with Property E. The links' f-vectors are counted by the
+f-vector's own formula, from the facets and the shared faces that hold the
+vertex, so no link complex is built. :func:`classify` computes the e-side and
 the h-side from first principles, separately, and treats any disagreement as
 a bug (:class:`~scx.errors.InternalInconsistency`), never as a result.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .complexes import SimplicialComplex, _listed, bit_indices
+from .complexes import SimplicialComplex, _face_counts, _listed, bit_indices
 from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter
 from .vectors import FVector, _sign, e_polynomial, f_to_e, f_to_h
 
@@ -136,23 +137,34 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     come from the complex's fine table, built on first use and shared with
     fine_e_polynomial.
 
-    A face in one facet that is not that facet has a cone for its link, so
-    c = 0 there. When the faces number the shared faces plus the facets,
-    there is no such face, a facet's c = 1 is as wanted, and the shared faces
-    decide; otherwise the cover's faces do. The witness names the first
-    failing face in the complex's listing order, by size, then labels: only
-    the faces of the smallest failing size are listed."""
+    A lone face, in one facet and not that facet, has a cone for its link, so
+    c = 0, never the wanted +-1; a facet's c = 1 is as wanted. So the shared
+    faces with the wrong c fail, and the lone faces, which below d are the
+    faces outside S: the smallest lone size is the smallest k < d with f_k
+    above the shared faces of size k. The witness names the first failing
+    face by size, then labels, listing only the smallest failing size, its
+    lone faces as the facets' subsets outside S; no face set is built."""
     if not c.is_pure():
         return Verdict(False, "not pure")
     d = c.dimension() + 1
     table = c._fine_terms
     wanted = [_sign(d - k) for k in range(d + 1)]
     shared = c._shared
-    faces = shared if sum(c.f_vector()) == len(shared) + len(c.facet_masks) else c._cover
-    size = min((m.bit_count() for m in faces if m and table.get(m, 0) != wanted[m.bit_count()]), default=0)
-    if not size:
+    per_size = [0] * (d + 1)  # the shared faces of each size
+    size = d  # the smallest size with a failing shared face; d for none
+    for m in shared:
+        k = m.bit_count()
+        per_size[k] += 1
+        if 0 < k < size and table.get(m, 0) != wanted[k]:
+            size = k
+    f = c.f_vector()
+    size = next((k for k in range(1, size) if f[k] > per_size[k]), size)  # or one with a lone face
+    if size == d:
         return Verdict(True)
-    failing = [m for m in faces if m.bit_count() == size and table.get(m, 0) != wanted[size]]
+    failing = [m for m in shared if m.bit_count() == size and table.get(m, 0) != wanted[size]]
+    if f[size] > per_size[size]:
+        failing += [m for F in c.facet_masks for m in map(sum, combinations([1 << v for v in bit_indices(F)], size))
+                    if m not in shared]
     face, sigma = _listed(c.labels, failing)[0]  # chi_top(link) = 1 - c_sigma
     return Verdict(False, f"face {{{' '.join(face)}}}: link chi_top={1 - table.get(sigma, 0)}, "
                           f"want {1 - wanted[len(face)]}")
@@ -175,6 +187,17 @@ def is_eulerian_sphere(c: SimplicialComplex) -> Verdict:
     return _sphere_from(c, is_eulerian(c))
 
 
+def _link_face_counts(c: SimplicialComplex) -> Iterator[tuple[str, list[int]]]:
+    """(label, face counts of its link) per vertex v, in label order: lk v has
+    the facets F - v and the shared faces sigma - v, with m(sigma), of the F
+    and sigma that hold v."""
+    shared = c._shared.items()
+    for v, lab in enumerate(c.labels):
+        bit = 1 << v
+        yield lab, _face_counts([m ^ bit for m in c.facet_masks if m & bit],
+                                [(m ^ bit, k) for m, k in shared if m & bit])
+
+
 def check_link_identity(c: SimplicialComplex) -> LinkIdentityResult:
     """If every vertex link is (d-2)-dimensional with Property E, then
     coefficientwise e(t) + (-1)^(d+1) f(-t) == e_0 + (-1)^(d+1).
@@ -187,22 +210,15 @@ def check_link_identity(c: SimplicialComplex) -> LinkIdentityResult:
     while the hypothesis holds returns False and would point at a bug (or a
     counterexample, which does not exist).
 
-    No link is built: the faces of lk v are sigma - v for the faces sigma
-    holding v, so one pass over the complex's cover counts every link's
-    f-vector, f_{k-1}(lk v) being the number of faces of size k + 1 holding
-    v. The vertices go in label order, each with its dimension test first.
-    The cover's face budget applies to the whole complex: past it, TooLarge.
+    No link is built: each link's faces are counted from the facets and the
+    shared faces that hold its vertex. The vertices go in label order, each
+    with its dimension test first. The shared faces' face budget applies to
+    the whole complex: past it, TooLarge.
     """
     d = c.dimension() + 1
     if d < 1:
         raise InvalidParameter("the identity needs at least one vertex")
-    links = [[0] * d for _ in c.labels]  # links[v][k]: faces of size k + 1 holding v
-    for m in c._cover:
-        for v in bit_indices(m):
-            links[v][m.bit_count() - 1] += 1
-    for lab, f in zip(c.labels, links):
-        while not f[-1]:  # f_-1 = 1 stays: {v} is a face
-            f.pop()
+    for lab, f in _link_face_counts(c):
         if len(f) != d:
             return LinkIdentityResult(True, False, f"link of vertex {lab!r} has dimension {len(f) - 2}, "
                                                    f"not {d - 2}; nothing to check")

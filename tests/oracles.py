@@ -2,9 +2,10 @@
 paths they cross-check. They read a complex only through its labels and
 facet masks, and build their own faces from those; link_identity_by_links
 alone builds each vertex link through SimplicialComplex.link, a route that
-shares no code with the cover count it checks."""
+shares no code with the shared-face count it checks."""
 
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 from itertools import combinations
 
@@ -29,6 +30,21 @@ def faces_of(c):
         for k in range(len(vertices) + 1):
             faces.update(sum(1 << v for v in combo) for combo in combinations(vertices, k))
     return faces
+
+
+def cover_by_submask_walk(c):
+    """Every face mask of c, the empty face included, with m(sigma), the
+    number of facets that contain it: one walk over each facet's submasks,
+    stepping down by (sub - 1) & facet."""
+    cover = Counter()
+    for facet in c.facet_masks:
+        sub = facet
+        while True:
+            cover[sub] += 1
+            if not sub:
+                break
+            sub = (sub - 1) & facet
+    return cover
 
 
 def f_vector_of(c):
@@ -256,7 +272,7 @@ def link_identity_by_polynomials(c):
 def link_identity_by_links(c):
     """The vertex-link identity's result, building each vertex link as its own
     complex through SimplicialComplex.link and checking it with the public
-    Property E check; the library counts the links' faces off its cover."""
+    Property E check; the library counts the links' faces off its shared faces."""
     d = c.dimension() + 1
     if d < 1:
         raise InvalidParameter("the identity needs at least one vertex")

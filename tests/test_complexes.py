@@ -78,7 +78,7 @@ def test_from_facets_void():
         v.euler_characteristics()
     with pytest.raises(VoidComplex):
         v.suspension()
-    # the cover carries the rule for faces(); the facet readers check it themselves
+    # the face set carries the rule for faces(); the facet readers check it themselves
     for query in (v.faces, v.is_pure, lambda: v.has_face([]), lambda: from_facets([[1]]).join(v)):
         with pytest.raises(VoidComplex):
             query()
@@ -267,7 +267,7 @@ def test_membership_and_links_read_the_facets():
     with pytest.raises(FaceNotInComplex, match=r"\{1 4\} is not a face"):
         c.link(["4", "1"])
     for complex_ in (big, c):
-        assert "_cover" not in complex_.__dict__
+        assert "_face_set" not in complex_.__dict__
 
 
 def test_membership_and_links_match_the_face_set(corpus4):
@@ -405,12 +405,12 @@ def test_face_budget_refuses_before_enumerating(monkeypatch):
 
 
 def test_face_budget_message_is_the_same_for_the_shared_faces():
-    # the f-vector reads the shared faces, not the cover, behind the same check
+    # the f-vector reads the shared faces, not the face set, behind the same check
     big = full_simplex(30)
     with pytest.raises(TooLarge) as refused:
         big.f_vector()
     assert str(refused.value) == "the facets bound the face count by 2147483648, over the face budget of 4194304"
-    assert "_shared" not in vars(big) and "_cover" not in vars(big)
+    assert "_shared" not in vars(big) and "_face_set" not in vars(big)
 
 
 # each generator with the vertex entries its facet list holds, counted by hand

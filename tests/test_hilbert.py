@@ -111,7 +111,7 @@ def test_minimal_nonfaces_and_graded_dimension_refuse_as_the_cover_does():
     for query in (lambda: minimal_nonfaces(big), lambda: graded_dimension(big, (1,) * 31)):
         with pytest.raises(TooLarge, match=message):
             query()
-    assert "_cover" not in big.__dict__
+    assert "_face_set" not in big.__dict__
     void = from_facets([])
     for query in (lambda: minimal_nonfaces(void), lambda: graded_dimension(void, ())):
         with pytest.raises(VoidComplex, match="the void complex has no faces"):

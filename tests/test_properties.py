@@ -183,8 +183,9 @@ def test_link_identity_examples():
     # every link is an edge, of dimension 1, but an edge lacks Property E (e_0 = 0, not 1)
     triangle = check_link_identity(from_facets([[1, 2, 3]]))
     assert triangle == (True, False, "link of vertex '1' lacks Property E; nothing to check")
-    # the links are counted off the whole complex's cover, so its face budget
-    # applies even where vertex 1's own link, {}, would settle the hypothesis
+    # the links are counted off the whole complex's shared faces, so the
+    # shared-face search's face budget applies even where vertex 1's own link,
+    # {}, would settle the hypothesis
     big = from_facets([["1"], [str(i) for i in range(2, 25)]])
     with pytest.raises(TooLarge, match="face budget"):
         check_link_identity(big)
@@ -226,6 +227,28 @@ def test_link_identity_conclusion_is_weak_property_e(corpus5):
 def test_link_identity_matches_the_links_built_one_by_one(corpus5):
     for c in _link_identity_sample(corpus5):
         assert check_link_identity(c) == link_identity_by_links(c), c
+
+
+def _assert_link_counts_match_the_links(c):
+    for lab, counts in properties._link_face_counts(c):
+        assert tuple(counts) == tuple(c.link([lab]).f_vector()), (c, lab)
+
+
+def test_link_counts_match_the_links_built_one_by_one(corpus5):
+    # the per-vertex counts, not only the verdict they lead to
+    for c in corpus5 + _families():
+        _assert_link_counts_match_the_links(c)
+
+
+@given(st.builds(random_complex, st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 24), st.integers(1, 8)))
+def test_link_counts_match_the_links_on_random_complexes(c):
+    _assert_link_counts_match_the_links(c)
+
+
+def test_link_identity_leaves_the_face_set_unbuilt():
+    for c in (cross_polytope(4), boundary_simplex(5), from_facets([[1, 2, 3]]), random_complex(3, 10, 20, 4)):
+        check_link_identity(c)
+        assert "_face_set" not in vars(c) and "_shared" in vars(c), c
 
 
 def test_results_are_true_exactly_when_ok():
@@ -356,7 +379,7 @@ def test_connectivity():
     assert is_connected(from_facets([[]]))
     assert not is_connected(from_facets([[1, 2], [3, 4]]))
     assert not is_connected(from_facets([[1, 2], [3]]))
-    # both hold far more faces than the face budget lets the cover count
+    # both hold far more faces than the face budget lets the face set hold
     assert is_connected(full_simplex(30))
     halves = [[str(i) for i in range(25)], [str(i) for i in range(25, 50)]]
     assert not is_connected(from_facets(halves))
