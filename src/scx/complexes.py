@@ -25,13 +25,14 @@ function, so concurrent use needs no coordination. A complex builds its
 derived tables on first use and keeps them for its lifetime; nothing is
 cached at module level; the vertex count ``n`` is a plain attribute, and
 ``f_vector()`` returns the one FVector built on first use. Membership and
-links read the facets alone. One depth-first search finds the shared faces
-S, those in two facets or more, each with the number of facets that contain
-it: every face count follows from them and the facet sizes by one formula,
-the complex's and its vertex links', and they are all the fine table needs,
-for the Eulerian checks and the series. One walk over the facets' submasks
-gives the face set, which only ``faces()``, ``graded_dimension`` and the
-level-wise search for the minimal non-faces read, to list faces or look one up.
+links read the facets alone. One depth-first search from the constructor's
+vertex bitsets finds the shared faces S, those in two facets or more, each
+with the number of facets that contain it; no other module reads S. Every
+face count follows from S and the facet sizes by one formula, the complex's
+and its vertex links', and S is all the fine table needs, which the Eulerian
+checks and the series read. One walk over the facets' submasks gives the
+face set, which only ``faces()``, ``graded_dimension`` and the level-wise
+search for the minimal non-faces read, to list faces or look one up.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import sys
 from functools import cached_property, reduce
 from itertools import chain, combinations, islice, product
 from math import comb
-from operator import lt, or_
+from operator import itemgetter, lt, or_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -79,8 +80,9 @@ __all__ = [
 # bytes each, and the fine table built from them peaks at about 152 bytes a
 # shared face: on two 21-vertex facets sharing 20 vertices, at the budget,
 # `scx vectors` and `scx check` peak at 97 MB and `scx series --fine` at
-# 167 MB. The generators hold the vertex entries of the facet lists they
-# build to the same number.
+# 167 MB; faces() peaks at about 184 bytes a face above the face set on
+# full_simplex(17). The generators hold the vertex entries of the facet lists
+# they build to the same number.
 FACE_BUDGET = 1 << 22
 
 
@@ -153,10 +155,23 @@ def _face_counts(facets: Iterable[int], shared: Iterable[tuple[int, int]]) -> li
     return counts
 
 
+def _link_face_counts(c: SimplicialComplex) -> Iterator[tuple[str, list[int]]]:
+    """(label, face counts of its link) per vertex v, in label order: lk v has
+    the facets F - v and the shared faces sigma - v, with m(sigma), of the F
+    and sigma that hold v."""
+    shared = c._shared.items()
+    for v, lab in enumerate(c.labels):
+        bit = 1 << v
+        yield lab, _face_counts([m ^ bit for m in c.facet_masks if m & bit],
+                                [(m ^ bit, k) for m, k in shared if m & bit])
+
+
 def _listed(labels: tuple[str, ...], masks: Iterable[int]) -> list[tuple[tuple[str, ...], int]]:
-    """(label tuple, mask) pairs in the one listing order: by size, then labels."""
-    return sorted(((tuple(labels[i] for i in bit_indices(m)), m) for m in masks),
-                  key=lambda item: (len(item[0]), item[0]))
+    """(label tuple, mask) pairs in the one listing order: by size, then labels.
+    Two stable sorts, by labels and then by size, build no key tuple per item."""
+    items = sorted(((tuple(labels[i] for i in bit_indices(m)), m) for m in masks), key=itemgetter(0))
+    items.sort(key=lambda item: len(item[0]))
+    return items
 
 
 class SimplicialComplex:
@@ -172,7 +187,8 @@ class SimplicialComplex:
     bitset per vertex, bit j set when the j-th mask kept holds the vertex: a
     mask is dominated exactly when the AND of its vertices' bitsets is
     nonzero. On m distinct masks of at most |F| vertices that is
-    O(m * |F|) word operations, not m^2 subset tests.
+    O(m * |F|) word operations, not m^2 subset tests. The shared-face
+    search starts from the bitsets it keeps.
     """
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
@@ -205,6 +221,7 @@ class SimplicialComplex:
                 kept.append(m)
         self.labels = labels
         self.facet_masks = tuple(sorted(kept))
+        self._holders = above
         # plain attributes, not properties: the void guard runs on every query,
         # and every multidegree query reads the vertex count
         self.is_void = not kept
@@ -255,24 +272,19 @@ class SimplicialComplex:
         m(sigma), the number of facets that contain it, in the pre-order of
         one depth-first search (VoidComplex for void).
 
-        The search keeps one facet bitset per vertex, bit j set when the j-th
-        facet holds the vertex. A child of a face adds a vertex above its top
-        one, and its bitset is the AND of the face's and the vertex's: it is
-        shared when that has two bits or more. S is closed downward, so a
-        vertex that failed for a face fails for its children too, and each
-        child tries only the vertices of its shared siblings (Eclat). The
-        search visits each shared face once and no other. Children go largest
-        vertex first, so a face's subtree is the run of masks after it, up to
-        the next one no larger than it. The face budget's check comes first,
-        so the recursion is at most 22 deep.
+        The search starts from the constructor's bitsets, one per vertex, bit
+        j set when the j-th facet kept holds the vertex: m(sigma) is a bit
+        count, so their order does not matter. A child of a face adds a
+        vertex above its top one, and its bitset is the AND of the face's and
+        the vertex's: it is shared when that has two bits or more. S is
+        closed downward, so a vertex that failed for a face fails for its
+        children too, and each child tries only the vertices of its shared
+        siblings (Eclat). The search visits each shared face once and no
+        other. Children go largest vertex first, so a face's subtree is the
+        run of masks after it, up to the next one no larger than it. The face
+        budget's check comes first, so the recursion is at most 22 deep.
         """
         self._check_budget()
-        holders = [0] * self.n
-        bit = 1
-        for m in self.facet_masks:
-            for v in bit_indices(m):
-                holders[v] |= bit
-            bit <<= 1
         shared: dict[int, int] = {}
 
         def search(children: list[tuple[int, int]]) -> None:
@@ -288,7 +300,7 @@ class SimplicialComplex:
 
         if len(self.facet_masks) > 1:
             shared[0] = len(self.facet_masks)
-            search([(1 << v, h) for v, h in reversed(list(enumerate(holders))) if h.bit_count() > 1])
+            search([(1 << v, h) for v, h in reversed(list(enumerate(self._holders))) if h.bit_count() > 1])
         return shared
 
     @cached_property
@@ -382,7 +394,8 @@ class SimplicialComplex:
         return c if 2 * len(c) >= len(shared) else dict(c)
 
     def faces(self) -> list[tuple[str, ...]]:
-        """All faces as label tuples, ordered by size then labels."""
+        """All faces as label tuples, ordered by size then labels: about 184
+        bytes a face on top of the face set (see FACE_BUDGET)."""
         return [face for face, _ in _listed(self.labels, self._face_set)]
 
     def facets(self) -> tuple[tuple[str, ...], ...]:

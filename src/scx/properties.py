@@ -11,25 +11,26 @@ a full and a weak form:
 - Classical and general Dehn-Sommerville: one loop over
   h_k - h_{d-k} = (-1)^k C(d,k) * defect, with the defect 0 or
   1 + (-1)^(d-1) - chi_top.
-- Eulerian sphere and Eulerian: the sphere also asks the fine coefficient
-  c_empty = 1 - chi_top to be (-1)^d.
+- Eulerian sphere and Eulerian: the fine table against the f-vector; the
+  sphere also asks the fine coefficient c_empty = 1 - chi_top to be (-1)^d.
 
 The vertex-link identity e(t) + (-1)^(d+1) f(-t) = e_0 + (-1)^(d+1) is weak
 Property E read coefficientwise; its hypothesis is that every vertex link is
-(d-2)-dimensional with Property E. The links' f-vectors are counted by the
-f-vector's own formula, from the facets and the shared faces that hold the
-vertex, so no link complex is built. :func:`classify` computes the e-side and
-the h-side from first principles, separately, and treats any disagreement as
-a bug (:class:`~scx.errors.InternalInconsistency`), never as a result.
+(d-2)-dimensional with Property E. The complex counts the links' f-vectors
+by its own f-vector's formula, so no link complex is built; this module
+reads facets, f-vectors and fine tables, never the shared faces.
+:func:`classify` computes the e-side and the h-side from first principles,
+separately, and treats any disagreement as a bug
+(:class:`~scx.errors.InternalInconsistency`), never as a result.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _face_counts, _listed, bit_indices
+from .complexes import SimplicialComplex, _link_face_counts, _listed, bit_indices
 from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter
 from .vectors import FVector, _sign, e_polynomial, f_to_e, f_to_h
 
@@ -137,37 +138,32 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     come from the complex's fine table, built on first use and shared with
     fine_e_polynomial.
 
-    A lone face, in one facet and not that facet, has a cone for its link, so
-    c = 0, never the wanted +-1; a facet's c = 1 is as wanted. So the shared
-    faces with the wrong c fail, and the lone faces, which below d are the
-    faces outside S: the smallest lone size is the smallest k < d with f_k
-    above the shared faces of size k. The witness names the first failing
-    face by size, then labels, listing only the smallest failing size, its
-    lone faces as the facets' subsets outside S; no face set is built."""
+    Call c_sigma right-signed when it is (-1)^(d - |sigma|). Each one is +-1,
+    so the table holds it, and one pass over the table counts the
+    right-signed faces of each size k: the complex is Eulerian exactly when
+    that count is f_k for every 1 <= k < d. The witness names the first
+    failing face by size, then labels: at the smallest size k short of f_k,
+    the least of each facet's first k-subset, in label order, that is not
+    right-signed. No face set is built."""
     if not c.is_pure():
         return Verdict(False, "not pure")
     d = c.dimension() + 1
     table = c._fine_terms
     wanted = [_sign(d - k) for k in range(d + 1)]
-    shared = c._shared
-    per_size = [0] * (d + 1)  # the shared faces of each size
-    size = d  # the smallest size with a failing shared face; d for none
-    for m in shared:
-        k = m.bit_count()
-        per_size[k] += 1
-        if 0 < k < size and table.get(m, 0) != wanted[k]:
-            size = k
+    right = [0] * (d + 1)  # the right-signed faces of each size
+    for m, x in table.items():
+        if x == wanted[k := m.bit_count()]:
+            right[k] += 1
     f = c.f_vector()
-    size = next((k for k in range(1, size) if f[k] > per_size[k]), size)  # or one with a lone face
+    size = next((k for k in range(1, d) if right[k] < f[k]), d)
     if size == d:
         return Verdict(True)
-    failing = [m for m in shared if m.bit_count() == size and table.get(m, 0) != wanted[size]]
-    if f[size] > per_size[size]:
-        failing += [m for F in c.facet_masks for m in map(sum, combinations([1 << v for v in bit_indices(F)], size))
-                    if m not in shared]
-    face, sigma = _listed(c.labels, failing)[0]  # chi_top(link) = 1 - c_sigma
+    want = wanted[size]
+    firsts = (next((m for m in map(sum, combinations([1 << v for v in bit_indices(F)], size))
+                    if table.get(m, 0) != want), 0) for F in c.facet_masks)
+    face, sigma = _listed(c.labels, filter(None, firsts))[0]  # chi_top(link) = 1 - c_sigma
     return Verdict(False, f"face {{{' '.join(face)}}}: link chi_top={1 - table.get(sigma, 0)}, "
-                          f"want {1 - wanted[len(face)]}")
+                          f"want {1 - want}")
 
 
 def _sphere_from(c: SimplicialComplex, eul: Verdict) -> Verdict:
@@ -185,17 +181,6 @@ def is_eulerian_sphere(c: SimplicialComplex) -> Verdict:
     """Eulerian, with the global Euler characteristic of a (d-1)-sphere, read
     as the fine coefficient c_empty = 1 - chi_top, which must be (-1)^d."""
     return _sphere_from(c, is_eulerian(c))
-
-
-def _link_face_counts(c: SimplicialComplex) -> Iterator[tuple[str, list[int]]]:
-    """(label, face counts of its link) per vertex v, in label order: lk v has
-    the facets F - v and the shared faces sigma - v, with m(sigma), of the F
-    and sigma that hold v."""
-    shared = c._shared.items()
-    for v, lab in enumerate(c.labels):
-        bit = 1 << v
-        yield lab, _face_counts([m ^ bit for m in c.facet_masks if m & bit],
-                                [(m ^ bit, k) for m, k in shared if m & bit])
 
 
 def check_link_identity(c: SimplicialComplex) -> LinkIdentityResult:

@@ -1,6 +1,7 @@
 """The public API as literal name lists, so that any addition or removal
 shows as a diff of this file."""
 
+import re
 import subprocess
 import sys
 import types
@@ -170,3 +171,14 @@ def test_nothing_is_cached_at_module_level():
         for a in product(range(2), repeat=c.n):
             assert graded_dimension(c, a) == taylor_coefficient(p, a)
     assert before and _module_container_sizes() == before
+
+
+def test_only_complexes_reads_the_shared_faces():
+    # the shared faces, their counting formula and the vertex bitsets are one
+    # module's format: no other module names them, as whole identifiers
+    private = [re.compile(rf"\b{name}\b") for name in ("_shared", "_face_counts", "_holders")]
+    sources = {p.name: p.read_text(encoding="utf-8") for p in Path(scx.__file__).parent.glob("*.py")}
+    assert all(name.search(sources["complexes.py"]) for name in private)
+    readers = {(file, name.pattern) for file, text in sources.items() if file != "complexes.py"
+               for name in private if name.search(text)}
+    assert not readers

@@ -386,11 +386,15 @@ def test_the_cli_counts_and_checks_without_the_cover(monkeypatch):
                   [2, 4, 6], [3, 4, 6]]).suspension().facets(), "face {L.1}: link chi_top=1, want 2"),
     # one facet on 21 vertices: each vertex is alone in it, its link a 19-simplex
     (full_simplex(20).facets(), "face {1}: link chi_top=1, want 0"),
+    # the hexagonal disk: every vertex is shared, and each boundary vertex has
+    # an arc for its link, c = 0, so no table key names it
+    ([[0, i, i % 6 + 1] for i in range(1, 7)], "face {1}: link chi_top=1, want 0"),
 ])
 def test_eulerian_witnesses_name_the_first_failing_face(facets, witness):
     c = from_facets(facets)
     assert is_eulerian(c) == (False, witness)
-    # the lone faces come from the facets and the shared faces: no face set is built
+    # the failing faces are each facet's first subset of the failing size that
+    # is not right-signed, read off the fine table: no face set is built
     assert "_face_set" not in vars(c)
     if c.n < 20:  # the link sums are quadratic in the faces, out of reach at 2^21
         assert eulerian_by_link_sums(c) == (False, witness)

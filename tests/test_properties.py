@@ -35,6 +35,7 @@ from scx import (
     whiskered_cycle,
 )
 from scx import properties
+from scx.complexes import _link_face_counts
 from oracles import connected_bfs, link_identity_by_links, link_identity_by_polynomials, random_tree_with_extras
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]
@@ -230,7 +231,7 @@ def test_link_identity_matches_the_links_built_one_by_one(corpus5):
 
 
 def _assert_link_counts_match_the_links(c):
-    for lab, counts in properties._link_face_counts(c):
+    for lab, counts in _link_face_counts(c):
         assert tuple(counts) == tuple(c.link([lab]).f_vector()), (c, lab)
 
 
