@@ -30,9 +30,9 @@ vertex bitsets finds the shared faces S, those in two facets or more, each
 with the number of facets that contain it; no other module reads S. Every
 face count follows from S and the facet sizes by one formula, the complex's
 and its vertex links', and S is all the fine table needs, which the Eulerian
-checks and the series read. One walk over the facets' submasks gives the
-face set, which only ``faces()``, ``graded_dimension`` and the level-wise
-search for the minimal non-faces read, to list faces or look one up.
+checks and the series read. One search of the same shape, from the same
+bitsets, builds the face set and the minimal non-faces together, which only
+``faces()``, ``minimal_nonfaces`` and ``graded_dimension`` read.
 """
 
 from __future__ import annotations
@@ -75,12 +75,12 @@ __all__ = [
 # The most faces the face set or the shared faces may hold, checked against the
 # cheap upper bound sum over facets of 2^|F| before any face is built. On
 # 64-bit CPython 3.11 (VmHWM, one process) the face set of full_simplex(21),
-# the full budget, keeps about 72 bytes a face and peaks at 96 while it grows,
-# at 398 MB. The shared faces number at most half the bound and keep about 72
+# the full budget, keeps about 64 bytes a face and peaks at 67 while it grows,
+# at 298 MB. The shared faces number at most half the bound and keep about 72
 # bytes each, and the fine table built from them peaks at about 152 bytes a
 # shared face: on two 21-vertex facets sharing 20 vertices, at the budget,
 # `scx vectors` and `scx check` peak at 97 MB and `scx series --fine` at
-# 167 MB; faces() peaks at about 184 bytes a face above the face set on
+# 167 MB; faces() peaks at about 210 bytes a face above the face set on
 # full_simplex(17). The generators hold the vertex entries of the facet lists
 # they build to the same number.
 FACE_BUDGET = 1 << 22
@@ -259,14 +259,6 @@ class SimplicialComplex:
                            f"over the face budget of {FACE_BUDGET}")
 
     @cached_property
-    def _face_set(self) -> frozenset[int]:
-        """Every face mask, the empty face included, from one walk over each
-        facet's submasks, after the face budget's check: VoidComplex or
-        TooLarge before any face is built."""
-        self._check_budget()
-        return frozenset(chain.from_iterable(map(_submasks, self.facet_masks)))
-
-    @cached_property
     def _shared(self) -> dict[int, int]:
         """The shared faces S, those in two facets or more, each mask with
         m(sigma), the number of facets that contain it, in the pre-order of
@@ -304,44 +296,49 @@ class SimplicialComplex:
         return shared
 
     @cached_property
-    def _minimal_nonface_masks(self) -> tuple[int, ...]:
-        """The minimal non-faces, sorted: the negative border of the face set
-        (Mannila-Toivonen, 1997), searched level by level as Apriori does.
+    def _faces(self) -> tuple[set[int], tuple[int, ...]]:
+        """(face set, sorted minimal non-faces): every face mask, the empty one
+        included, and the face set's negative border (Mannila-Toivonen, 1997),
+        from one search shaped as ``_shared``'s, after the face budget's check.
 
-        A level's faces come in groups that differ only in their top vertex.
-        Joining two of a group, a < b, gives every face and every minimal
-        non-face one vertex larger, since dropping either of its top two
-        vertices leaves a face. A join outside the face set is a minimal
-        non-face when dropping each vertex that a and b share leaves a face
-        too. That is one face-set lookup per joined pair, not one per face and
-        vertex. VoidComplex and the face budget's TooLarge come from the face set.
+        A child joins a face with an earlier sibling, its bitset the AND of
+        theirs, and is a face when that is nonzero. Each face and minimal
+        non-face of two vertices or more joins the drops of its top two. A
+        zero AND is a minimal non-face when dropping each vertex the siblings
+        share leaves a face. The pre-order compares ascending vertex sequences
+        largest first; at the dropped vertex, a drop holds a larger one and
+        does not descend from the face joined, so it is in the set already.
+        The set is returned as built: a frozenset copy would add to the peak.
         """
-        faces = self._face_set
+        self._check_budget()
+        faces = {0}
         found: list[int] = []
-        groups = [[1 << v for v in range(self.n)]]  # the vertices, every one a face
-        while groups:
-            joined = []
-            for group in groups:
-                for i in range(len(group) - 1):
-                    a = group[i]
-                    above = []
-                    for b in group[i + 1:]:
-                        m = a | b
-                        if m in faces:
-                            above.append(m)
-                            continue
-                        shared = a & b
-                        while shared:
-                            low = shared & -shared
-                            if m ^ low not in faces:
-                                break
-                            shared ^= low
-                        else:
-                            found.append(m)
-                    if above:
-                        joined.append(above)
-            groups = joined
-        return tuple(sorted(found))
+
+        def search(children: list[tuple[int, int]]) -> None:
+            # (face, facet bitset) of sibling faces, largest new vertex first
+            tried: list[tuple[int, int]] = []
+            for face, facets in children:
+                faces.add(face)
+                below = []
+                for f, h in tried:
+                    m = face | f
+                    if x := h & facets:
+                        below.append((m, x))
+                        continue
+                    shared = face & f
+                    while shared:
+                        low = shared & -shared
+                        if m ^ low not in faces:
+                            break
+                        shared ^= low
+                    else:
+                        found.append(m)
+                if below:
+                    search(below)
+                tried.append((face, facets))
+
+        search([(1 << v, h) for v, h in reversed(list(enumerate(self._holders)))])
+        return faces, tuple(sorted(found))
 
     @cached_property
     def _fine_terms(self) -> dict[int, int]:
@@ -394,9 +391,9 @@ class SimplicialComplex:
         return c if 2 * len(c) >= len(shared) else dict(c)
 
     def faces(self) -> list[tuple[str, ...]]:
-        """All faces as label tuples, ordered by size then labels: about 184
+        """All faces as label tuples, ordered by size then labels: about 210
         bytes a face on top of the face set (see FACE_BUDGET)."""
-        return [face for face, _ in _listed(self.labels, self._face_set)]
+        return [face for face, _ in _listed(self.labels, self._faces[0])]
 
     def facets(self) -> tuple[tuple[str, ...], ...]:
         """The maximal faces as sorted label tuples."""

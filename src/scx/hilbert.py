@@ -103,8 +103,9 @@ def minimal_nonfaces(c: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
     """Inclusion-minimal non-faces: supports of the ideal's squarefree generators.
 
     A subset of the vertices is a face exactly when it contains none of these.
+    The complex finds them with its face set, in one search, and keeps both.
     """
-    return tuple(subset for subset, _ in _listed(c.labels, c._minimal_nonface_masks))
+    return tuple(subset for subset, _ in _listed(c.labels, c._faces[1]))
 
 
 def _support_mask(n: int, a: Sequence[int]) -> int:
@@ -130,13 +131,14 @@ def graded_dimension(c: SimplicialComplex, a: Sequence[int]) -> int:
     """0/1 dimension of the degree-a graded piece of the face ring.
 
     Computed two ways, from face membership of the support and from
-    divisibility by the minimal non-face monomials; disagreement would be a
-    bug and raises InternalInconsistency.
+    divisibility by the minimal non-face monomials, which the complex builds
+    together; disagreement would be a bug and raises InternalInconsistency.
     """
     support = _support_mask(c.n, a)
-    by_support = support in c._face_set
+    faces, nonfaces = c._faces
+    by_support = support in faces
     by_divisibility = True
-    for nf in c._minimal_nonface_masks:
+    for nf in nonfaces:
         if nf & support == nf:
             by_divisibility = False
             break

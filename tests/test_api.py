@@ -182,3 +182,6 @@ def test_only_complexes_reads_the_shared_faces():
     readers = {(file, name.pattern) for file, text in sources.items() if file != "complexes.py"
                for name in private if name.search(text)}
     assert not readers
+    # the face set and the minimal non-faces: built here, read by the graded queries
+    faces = re.compile(r"\b_faces\b")
+    assert {file for file, text in sources.items() if faces.search(text)} == {"complexes.py", "hilbert.py"}

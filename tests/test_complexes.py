@@ -267,10 +267,10 @@ def test_membership_and_links_read_the_facets():
     with pytest.raises(FaceNotInComplex, match=r"\{1 4\} is not a face"):
         c.link(["4", "1"])
     for complex_ in (big, c):
-        assert "_face_set" not in complex_.__dict__
+        assert "_faces" not in complex_.__dict__
 
 
-def test_membership_and_links_match_the_face_set(corpus4):
+def test_membership_and_links_match_the_faces(corpus4):
     for c in corpus4:
         faces = faces_of(c)
         for mask in range(1 << c.n):
@@ -388,6 +388,25 @@ def test_full_simplex_faces():
     assert c.dimension() == 3
 
 
+def _assert_faces_match_the_combinations(c):
+    want = sorted((tuple(c.labels[v] for v in bit_indices(m)) for m in faces_of(c)),
+                  key=lambda face: (len(face), face))
+    assert c.faces() == want, c
+
+
+def test_faces_match_the_combinations(corpus4):
+    families = [*(cross_polytope(d) for d in range(1, 8)), *(boundary_simplex(d) for d in range(1, 10)),
+                *(cycle(n) for n in range(3, 51)), whiskered_cycle(5, 3)]
+    for c in [*corpus4, from_facets([[]]), *families]:
+        _assert_faces_match_the_combinations(c)
+    assert from_facets([[]]).faces() == [()]
+
+
+@given(drawn_complexes)
+def test_faces_match_the_combinations_on_drawn_complexes(c):
+    _assert_faces_match_the_combinations(c)
+
+
 def test_face_budget_refuses_before_enumerating(monkeypatch):
     import scx.complexes as complexes
 
@@ -410,7 +429,7 @@ def test_face_budget_message_is_the_same_for_the_shared_faces():
     with pytest.raises(TooLarge) as refused:
         big.f_vector()
     assert str(refused.value) == "the facets bound the face count by 2147483648, over the face budget of 4194304"
-    assert "_shared" not in vars(big) and "_face_set" not in vars(big)
+    assert "_shared" not in vars(big) and "_faces" not in vars(big)
 
 
 # each generator with the vertex entries its facet list holds, counted by hand

@@ -332,24 +332,45 @@ def test_one_facet_shares_nothing_and_two_share_their_meet():
     assert c._shared == {0: 2, 0b100: 2, 0b110: 2, 0b10: 2}
 
 
+def _assert_subsets_come_first(c):
+    # the fine table's walk and the minimal non-faces' drop test rely on the
+    # search's pre-order listing every proper subset of a face before it
+    position = {m: i for i, m in enumerate(c._shared)}
+    for m, i in position.items():
+        sub = m
+        while sub:
+            sub = (sub - 1) & m
+            assert position[sub] < i, (c, m, sub)
+
+
+def test_the_shared_faces_list_every_subset_first(corpus5):
+    for c in [*corpus5, *_families(), *(c for c, _ in _large_families())]:
+        _assert_subsets_come_first(c)
+
+
+@given(drawn_random_complexes)
+def test_the_shared_faces_list_every_subset_first_on_random_complexes(c):
+    _assert_subsets_come_first(c)
+
+
 def test_counting_and_the_table_never_build_the_cover():
     # the f-vector, the fine table and a passing Eulerian check read the shared faces alone
     for make in (lambda: cross_polytope(4), lambda: boundary_simplex(5), lambda: random_complex(2, 12, 30, 5)):
         c = make()
         c.f_vector()
-        assert "_face_set" not in vars(c) and "_shared" in vars(c)
+        assert "_faces" not in vars(c) and "_shared" in vars(c)
         fine_e_polynomial(c)._terms
-        assert "_face_set" not in vars(c)
+        assert "_faces" not in vars(c)
     for sphere in (cross_polytope(4), boundary_simplex(5), cross_polytope(2).join(boundary_simplex(2))):
         report = classify(sphere)
-        assert report.eulerian_sphere and "_face_set" not in vars(sphere), sphere
+        assert report.eulerian_sphere and "_faces" not in vars(sphere), sphere
 
 
 def test_the_cli_counts_and_checks_without_the_cover(monkeypatch):
     def refuse(self):
         raise AssertionError("the face set was built")
 
-    monkeypatch.setattr(SimplicialComplex, "_face_set", property(refuse))
+    monkeypatch.setattr(SimplicialComplex, "_faces", property(refuse))
     for c in (cross_polytope(3), random_complex(4, 10, 20, 4)):
         text = c.to_facet_text()
         for argv in (["check", "-"], ["vectors", "-"], ["info", "-"], ["series", "--fine", "-"]):
@@ -395,7 +416,7 @@ def test_eulerian_witnesses_name_the_first_failing_face(facets, witness):
     assert is_eulerian(c) == (False, witness)
     # the failing faces are each facet's first subset of the failing size that
     # is not right-signed, read off the fine table: no face set is built
-    assert "_face_set" not in vars(c)
+    assert "_faces" not in vars(c)
     if c.n < 20:  # the link sums are quadratic in the faces, out of reach at 2^21
         assert eulerian_by_link_sums(c) == (False, witness)
 

@@ -30,6 +30,7 @@ from scx import (
     full_simplex,
     graded_dimension,
     minimal_nonfaces,
+    random_complex,
     taylor_coefficient,
     whiskered_cycle,
 )
@@ -93,13 +94,16 @@ def test_minimal_nonfaces_do_not_keep_the_complex_alive():
 
 
 def test_minimal_nonfaces_match_the_candidate_scan(corpus5, random_corpus):
-    for c in [*corpus5, *(c for c in random_corpus if not c.is_void), cross_polytope(7)]:
-        assert c._minimal_nonface_masks == minimal_nonfaces_by_candidate_scan(c), c
+    # the long cycle alone has 44,550 minimal non-faces
+    wide = [cross_polytope(7), cycle(300), whiskered_cycle(50, 200), random_complex(2, 60, 300, 4),
+            boundary_simplex(9)]
+    for c in [*corpus5, *(c for c in random_corpus if not c.is_void), *wide]:
+        assert c._faces[1] == minimal_nonfaces_by_candidate_scan(c), c
 
 
 def test_minimal_nonfaces_are_the_minimal_transversals_of_the_facet_complements(corpus4, corpus5):
     for c in [*corpus4, *corpus5]:
-        assert c._minimal_nonface_masks == minimal_transversals_of_complements(c), c
+        assert c._faces[1] == minimal_transversals_of_complements(c), c
 
 
 def test_minimal_nonfaces_and_graded_dimension_refuse_as_the_cover_does():
@@ -111,7 +115,7 @@ def test_minimal_nonfaces_and_graded_dimension_refuse_as_the_cover_does():
     for query in (lambda: minimal_nonfaces(big), lambda: graded_dimension(big, (1,) * 31)):
         with pytest.raises(TooLarge, match=message):
             query()
-    assert "_face_set" not in big.__dict__
+    assert "_faces" not in big.__dict__
     void = from_facets([])
     for query in (lambda: minimal_nonfaces(void), lambda: graded_dimension(void, ())):
         with pytest.raises(VoidComplex, match="the void complex has no faces"):
@@ -139,7 +143,7 @@ def test_graded_dimension_examples():
 def test_graded_dimension_raises_when_its_two_tests_disagree(monkeypatch):
     c = from_facets(EX3)
     # with no minimal non-face, divisibility admits the non-face {1, 4}
-    monkeypatch.setattr(c, "_minimal_nonface_masks", ())
+    monkeypatch.setattr(c, "_faces", (c._faces[0], ()))
     with pytest.raises(InternalInconsistency, match=r"^support test says False but divisibility says True "
                                                      r"for \(1, 0, 0, 1\)$"):
         graded_dimension(c, (1, 0, 0, 1))

@@ -246,10 +246,10 @@ def test_link_counts_match_the_links_on_random_complexes(c):
     _assert_link_counts_match_the_links(c)
 
 
-def test_link_identity_leaves_the_face_set_unbuilt():
+def test_link_identity_leaves_the_faces_unbuilt():
     for c in (cross_polytope(4), boundary_simplex(5), from_facets([[1, 2, 3]]), random_complex(3, 10, 20, 4)):
         check_link_identity(c)
-        assert "_face_set" not in vars(c) and "_shared" in vars(c), c
+        assert "_faces" not in vars(c) and "_shared" in vars(c), c
 
 
 def test_results_are_true_exactly_when_ok():
