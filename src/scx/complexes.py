@@ -32,7 +32,7 @@ face count follows from S and the facet sizes by one formula, the complex's
 and its vertex links', and S is all the fine table needs, which the Eulerian
 checks and the series read. One search of the same shape, from the same
 bitsets, builds the face set and the minimal non-faces together, which only
-``faces()``, ``minimal_nonfaces`` and ``graded_dimension`` read.
+``minimal_nonfaces`` and ``graded_dimension`` read.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ __all__ = [
 # bytes each, and the fine table built from them peaks at about 152 bytes a
 # shared face: on two 21-vertex facets sharing 20 vertices, at the budget,
 # `scx vectors` and `scx check` peak at 97 MB and `scx series --fine` at
-# 167 MB; faces() peaks at about 210 bytes a face above the face set on
-# full_simplex(17). The generators hold the vertex entries of the facet lists
-# they build to the same number.
+# 167 MB; faces() builds its own face set and peaks at about 273 bytes a
+# face on full_simplex(17). The generators hold the vertex entries of the
+# facet lists they build to the same number.
 FACE_BUDGET = 1 << 22
 
 
@@ -308,8 +308,7 @@ class SimplicialComplex:
         share leaves a face. The pre-order compares ascending vertex sequences
         largest first; at the dropped vertex, a drop holds a larger one and
         does not descend from the face joined, so it is in the set already.
-        The set is returned as built: a frozenset copy would add to the peak.
-        """
+        The set is returned as built: a frozenset copy would add to the peak."""
         self._check_budget()
         faces = {0}
         found: list[int] = []
@@ -391,9 +390,10 @@ class SimplicialComplex:
         return c if 2 * len(c) >= len(shared) else dict(c)
 
     def faces(self) -> list[tuple[str, ...]]:
-        """All faces as label tuples, ordered by size then labels: about 210
-        bytes a face on top of the face set (see FACE_BUDGET)."""
-        return [face for face, _ in _listed(self.labels, self._faces[0])]
+        """All faces as label tuples, ordered by size then labels, from the
+        facets' submasks: ``_faces`` tries every pair of vertices."""
+        self._check_budget()
+        return [face for face, _ in _listed(self.labels, set(chain.from_iterable(map(_submasks, self.facet_masks))))]
 
     def facets(self) -> tuple[tuple[str, ...], ...]:
         """The maximal faces as sorted label tuples."""

@@ -407,6 +407,14 @@ def test_faces_match_the_combinations_on_drawn_complexes(c):
     _assert_faces_match_the_combinations(c)
 
 
+def test_faces_walk_the_facets_not_the_minimal_nonface_search():
+    # the search tries every pair of vertices and keeps ~n^2/2 minimal
+    # non-faces on a long cycle; faces() costs one step a face and facet
+    c = cycle(2000)
+    assert len(c.faces()) == 1 + 2000 + 2000
+    assert "_faces" not in vars(c)
+
+
 def test_face_budget_refuses_before_enumerating(monkeypatch):
     import scx.complexes as complexes
 

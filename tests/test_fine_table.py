@@ -25,6 +25,7 @@ from scx import (
     full_simplex,
     is_eulerian,
     is_eulerian_sphere,
+    minimal_nonfaces,
     random_complex,
     taylor_coefficient,
     whiskered_cycle,
@@ -333,8 +334,10 @@ def test_one_facet_shares_nothing_and_two_share_their_meet():
 
 
 def _assert_subsets_come_first(c):
-    # the fine table's walk and the minimal non-faces' drop test rely on the
-    # search's pre-order listing every proper subset of a face before it
+    # the fine table's walk relies on the shared-face search's pre-order
+    # listing every proper subset of a face before it; the face set's search
+    # needs only that each drop of a joined pair comes earlier, which the
+    # minimal-non-face oracles check through their output
     position = {m: i for i, m in enumerate(c._shared)}
     for m, i in position.items():
         sub = m
@@ -377,7 +380,7 @@ def test_the_cli_counts_and_checks_without_the_cover(monkeypatch):
             out, err = io.StringIO(), io.StringIO()
             assert run(argv, stdin=io.StringIO(text), stdout=out, stderr=err) == 0, (argv, err.getvalue())
     with pytest.raises(AssertionError, match="face set was built"):
-        cross_polytope(3).faces()
+        minimal_nonfaces(cross_polytope(3))
 
 
 @pytest.mark.parametrize("facets, witness", [

@@ -94,7 +94,8 @@ def test_minimal_nonfaces_do_not_keep_the_complex_alive():
 
 
 def test_minimal_nonfaces_match_the_candidate_scan(corpus5, random_corpus):
-    # the long cycle alone has 44,550 minimal non-faces
+    # the long cycle alone has 44,550 minimal non-faces; a drop test that
+    # looked a face up before the search added it would miss one here
     wide = [cross_polytope(7), cycle(300), whiskered_cycle(50, 200), random_complex(2, 60, 300, 4),
             boundary_simplex(9)]
     for c in [*corpus5, *(c for c in random_corpus if not c.is_void), *wide]:
