@@ -308,7 +308,10 @@ class SimplicialComplex:
         share leaves a face. The pre-order compares ascending vertex sequences
         largest first; at the dropped vertex, a drop holds a larger one and
         does not descend from the face joined, so it is in the set already.
-        The set is returned as built: a frozenset copy would add to the peak."""
+        The set is returned as built: a frozenset copy would add to the peak.
+        The facets' bound does not price the minimal non-faces (a cycle of
+        n vertices has n(n-3)/2 of them), so past FACE_BUDGET of them the
+        search stops with TooLarge."""
         self._check_budget()
         faces = {0}
         found: list[int] = []
@@ -332,6 +335,9 @@ class SimplicialComplex:
                         shared ^= low
                     else:
                         found.append(m)
+                        if len(found) > FACE_BUDGET:
+                            raise TooLarge(f"{len(found)} minimal non-faces found so far, "
+                                           f"over the face budget of {FACE_BUDGET}")
                 if below:
                     search(below)
                 tried.append((face, facets))

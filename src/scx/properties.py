@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .complexes import SimplicialComplex, _link_face_counts, _listed, bit_indices
 from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter
-from .vectors import FVector, _sign, e_polynomial, f_to_e, f_to_h
+from .vectors import EVector, FVector, HVector, _sign, e_polynomial, f_to_e, f_to_h
 
 __all__ = [
     "Verdict",
@@ -86,8 +86,7 @@ class PropertyReport(NamedTuple):
         return self._asdict()
 
 
-def _property_e_from(f: FVector, first_k: int) -> Verdict:
-    e = f_to_e(f)
+def _property_e_from(f: FVector, e: EVector, first_k: int) -> Verdict:
     d = f.d
     for k in range(first_k, d + 1):
         want = _sign(d - k) * f[k]
@@ -98,16 +97,17 @@ def _property_e_from(f: FVector, first_k: int) -> Verdict:
 
 def check_property_e(c: SimplicialComplex) -> Verdict:
     """Does e_k == (-1)^(d-k) f_{k-1} hold for every 0 <= k <= d?"""
-    return _property_e_from(c.f_vector(), 0)
+    f = c.f_vector()
+    return _property_e_from(f, f_to_e(f), 0)
 
 
 def check_weak_property_e(c: SimplicialComplex) -> Verdict:
     """The same equalities restricted to 1 <= k <= d."""
-    return _property_e_from(c.f_vector(), 1)
+    f = c.f_vector()
+    return _property_e_from(f, f_to_e(f), 1)
 
 
-def _ds_from(c: SimplicialComplex, defect: int) -> Verdict:
-    h = f_to_h(c.f_vector())
+def _ds_from(h: HVector, defect: int) -> Verdict:
     d = h.d
     for k in range(d + 1):
         lhs = h[k] - h[d - k]
@@ -117,17 +117,21 @@ def _ds_from(c: SimplicialComplex, defect: int) -> Verdict:
     return Verdict(True)
 
 
+def _sphere_defect(c: SimplicialComplex) -> int:
+    _, chi_top = c.euler_characteristics()
+    return 1 + _sign(c.f_vector().d - 1) - chi_top
+
+
 def check_classical_ds(c: SimplicialComplex) -> Verdict:
     """Classical Dehn-Sommerville: the h-vector is symmetric, h_k == h_{d-k}."""
-    return _ds_from(c, 0)
+    return _ds_from(f_to_h(c.f_vector()), 0)
 
 
 def check_general_ds(c: SimplicialComplex) -> Verdict:
     """General Dehn-Sommerville: h_k - h_{d-k} == (-1)^k C(d,k) * defect for all k,
     where the defect is the (d-1)-sphere Euler characteristic 1 + (-1)^(d-1)
     minus the complex's own chi_top."""
-    _, chi_top = c.euler_characteristics()
-    return _ds_from(c, 1 + _sign(c.f_vector().d - 1) - chi_top)
+    return _ds_from(f_to_h(c.f_vector()), _sphere_defect(c))
 
 
 def is_eulerian(c: SimplicialComplex) -> Verdict:
@@ -207,7 +211,7 @@ def check_link_identity(c: SimplicialComplex) -> LinkIdentityResult:
         if len(f) != d:
             return LinkIdentityResult(True, False, f"link of vertex {lab!r} has dimension {len(f) - 2}, "
                                                    f"not {d - 2}; nothing to check")
-        if not _property_e_from(FVector(f), 0).ok:
+        if not _property_e_from(FVector(f), f_to_e(f), 0).ok:
             return LinkIdentityResult(True, False, f"link of vertex {lab!r} lacks Property E; nothing to check")
     weak = check_weak_property_e(c)
     if weak.ok:
@@ -242,11 +246,14 @@ def classify(c: SimplicialComplex) -> PropertyReport:
     analogue of Poincaré's duality theorem", 1964), which are weak Property
     E, so without it the complex is not Eulerian and the fine table is not
     built. The report is the same either way, since Property E then fails too
-    and its witness comes first."""
-    pe = check_property_e(c)
-    weak = check_weak_property_e(c)
-    cds = check_classical_ds(c)
-    gds = check_general_ds(c)
+    and its witness comes first. The e-vector and the h-vector are each
+    computed once, both from the f-vector."""
+    f = c.f_vector()
+    e, h = f_to_e(f), f_to_h(f)
+    pe = _property_e_from(f, e, 0)
+    weak = _property_e_from(f, e, 1)
+    cds = _ds_from(h, 0)
+    gds = _ds_from(h, _sphere_defect(c))
     eul = is_eulerian(c) if weak.ok else Verdict(False, "no weak Property E, so not Eulerian")
     sphere = _sphere_from(c, eul)
     if weak.ok != gds.ok:

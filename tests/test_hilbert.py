@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from scx import hilbert
 from scx import (
     DimensionMismatch,
     InternalInconsistency,
@@ -123,6 +124,23 @@ def test_minimal_nonfaces_and_graded_dimension_refuse_as_the_cover_does():
             query()
 
 
+def test_minimal_nonfaces_obey_the_face_budget(monkeypatch):
+    import scx.complexes as complexes
+
+    # the facets bound the faces of the 12-cycle by 48, under a budget of 50,
+    # but it has 12 * 9 / 2 = 54 minimal non-faces: the search stops at the 51st
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 50)
+    c = cycle(12)
+    for query in (lambda: minimal_nonfaces(c), lambda: graded_dimension(c, (0,) * 12)):
+        with pytest.raises(TooLarge, match=r"^51 minimal non-faces found so far, over the face budget of 50$"):
+            query()
+    assert "_faces" not in c.__dict__
+    assert tuple(c.f_vector()) == (1, 12, 12)
+    assert len(c.faces()) == 25
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 54)
+    assert len(minimal_nonfaces(c)) == 54
+
+
 # -- graded dimensions ------------------------------------------------------------
 
 def test_graded_dimension_examples():
@@ -186,6 +204,95 @@ def test_multidegree_entries_may_be_bools():
     assert graded_dimension(c, (True, False, False, True)) == 0
     assert taylor_coefficient(p, (False, True, True, True)) == 0
     assert taylor_coefficient(p, (True, True, True, False)) == 1
+
+
+# -- the packing slot: the last tuple of exact ints packed, with its mask --------
+
+
+def test_a_float_equal_to_a_packed_tuple_is_still_refused():
+    c = from_facets(EX3)
+    p = fine_e_polynomial(c)
+    assert graded_dimension(c, (1, 0, 0, 1)) == taylor_coefficient(p, (1, 0, 0, 1)) == 0
+    a = (1.0, 0, 0, 1)
+    assert a == (1, 0, 0, 1)
+    for query in (lambda: graded_dimension(c, a), lambda: taylor_coefficient(p, a)):
+        with pytest.raises(InvalidParameter) as info:
+            query()
+        assert str(info.value) == "multidegree entries must be nonnegative integers, got 1.0"
+
+
+def test_a_list_changed_between_the_pair_is_read_anew():
+    c = from_facets(EX3)
+    p = fine_e_polynomial(c)
+    a = [1, 0, 0, 1]
+    assert graded_dimension(c, a) == 0
+    a[3] = 0
+    assert taylor_coefficient(p, a) == 1
+    a[2] = 1.5
+    with pytest.raises(InvalidParameter, match="got 1.5$"):
+        graded_dimension(c, a)
+
+
+def test_a_packed_tuple_on_another_vertex_count_is_a_mismatch():
+    c = from_facets(EX3)
+    a = (1, 0, 0, 1)
+    assert graded_dimension(c, a) == 0
+    five = cycle(5)
+    for query in (lambda: graded_dimension(five, a), lambda: taylor_coefficient(fine_e_polynomial(five), a)):
+        with pytest.raises(DimensionMismatch) as info:
+            query()
+        assert str(info.value) == "multidegree length 4 != vertex count 5"
+    # the same vertex count on another complex reads that complex
+    assert graded_dimension(cycle(4), a) == 1
+
+
+class _CountedInt(int):
+    """An int subclass that counts its comparisons."""
+
+    compared = 0
+
+    def __lt__(self, other):
+        _CountedInt.compared += 1
+        return int(self) < other
+
+
+def test_bool_and_int_subclass_tuples_are_packed_on_every_query():
+    c = from_facets(EX3)
+    p = fine_e_polynomial(c)
+    one = _CountedInt(1)
+    for a in ((True, False, False, True), (one, 0, 0, one), (False, True, one, False)):
+        ints = tuple(map(int, a))
+        expected = graded_dimension(c, ints), taylor_coefficient(p, ints)
+        _CountedInt.compared = 0
+        assert (graded_dimension(c, a), taylor_coefficient(p, a)) == expected
+        assert hilbert._last[0] is ints
+        # both queries on a compared each of its int-subclass entries with 0
+        assert _CountedInt.compared == 2 * sum(x is one for x in a)
+
+
+def test_a_failed_query_leaves_the_slot_as_it_was():
+    c = from_facets(EX3)
+    p = fine_e_polynomial(c)
+    assert graded_dimension(c, (0, 1, 1, 0)) == 1
+    before = hilbert._last
+    for bad in ((1, 0, -1, 0), (1, 0, 0), (1, 0, 0, 1.0), (True, 0, 0, -1), 4, None):
+        for query in (lambda: graded_dimension(c, bad), lambda: taylor_coefficient(p, bad)):
+            with pytest.raises((InvalidParameter, DimensionMismatch)):
+                query()
+            assert hilbert._last is before
+
+
+def test_the_paired_query_reads_the_slot(monkeypatch):
+    c = from_facets(EX3)
+    p = fine_e_polynomial(c)
+    a = tuple([1, 0, 0, 2])  # built at run time, so no other test holds it
+    assert graded_dimension(c, a) == 0
+    assert hilbert._last == (a, 4, 0b1001) and hilbert._last[0] is a
+    # a planted mask for a, that of the face {1, 2}, is what taylor_coefficient reads
+    monkeypatch.setattr(hilbert, "_last", (a, 4, 0b0011))
+    assert taylor_coefficient(p, a) == 1
+    assert taylor_coefficient(p, tuple(a)) == 1  # tuple(a) is a itself
+    assert taylor_coefficient(p, (1, 0, 0, 2)) == 0
 
 
 # -- fine polynomial ----------------------------------------------------------------

@@ -367,9 +367,29 @@ def test_classify_never_inconsistent(corpus4, random_corpus):
     ("check_classical_ds", "Property E is True but classical Dehn-Sommerville is False"),
 ])
 def test_classify_raises_when_the_h_side_disagrees(monkeypatch, check, message):
-    monkeypatch.setattr(properties, check, lambda c: Verdict(False, "forced"))
+    # classify reads both Dehn-Sommerville verdicts off one h-vector through
+    # _ds_from, the classical one first; the one named is forced false
+    ds_from, defects = properties._ds_from, []
+
+    def forced(h, defect):
+        defects.append(defect)
+        if len(defects) == ["check_classical_ds", "check_general_ds"].index(check) + 1:
+            return Verdict(False, "forced")
+        return ds_from(h, defect)
+
+    monkeypatch.setattr(properties, "_ds_from", forced)
     with pytest.raises(InternalInconsistency, match=f"^{message}$"):
         classify(boundary_simplex(3))
+    assert defects == [0, 0]
+
+
+def test_classify_computes_each_transform_once(monkeypatch):
+    calls = []
+    for name in ("f_to_e", "f_to_h"):
+        transform = getattr(properties, name)
+        monkeypatch.setattr(properties, name, lambda f, t=transform: calls.append(t.__name__) or t(f))
+    assert classify(boundary_simplex(3)).property_e
+    assert sorted(calls) == ["f_to_e", "f_to_h"]
 
 
 # -- one-dimensional characterization -----------------------------------------------------------
