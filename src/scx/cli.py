@@ -43,7 +43,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
     Results go to stdout and every error, usage errors included, to stderr
     as one 'scx: ...' line. Only --help writes elsewhere: argparse prints it
-    to the process's sys.stdout and run() returns 0.
+    to the process's sys.stdout and run() returns 0. A verb returns its output
+    as a list of strings, all built before the first write, so an error
+    leaves stdout empty.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -62,7 +64,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except OSError as exc:
         print(f"scx: {exc}", file=stderr)
         return 1
-    stdout.write(out)
+    for i in range(0, len(out), 4096):  # few writes: on an unbuffered stdout each is a system call
+        stdout.write("".join(out[i:i + 4096]))
     return 0
 
 
@@ -148,14 +151,14 @@ def _read_complex(source: str, stdin) -> complexes.SimplicialComplex:
     return complexes.parse_facet_text(text)
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, allow_nan=False) + "\n"
+def _dump(payload: dict) -> list[str]:
+    return [json.dumps(payload, allow_nan=False) + "\n"]
 
 
-def _cmd_info(args, stdin) -> str:
+def _cmd_info(args, stdin) -> list[str]:
     c = _read_complex(args.input, stdin)
     if c.is_void and args.pretty:
-        return "void complex (no faces)\n"
+        return ["void complex (no faces)\n"]
     payload = {"kind": "void" if c.is_void else "nonvoid", "vertices": c.n, "labels": list(c.labels),
                "facets": [list(f) for f in c.facets()]}
     if not c.is_void:
@@ -168,7 +171,7 @@ def _cmd_info(args, stdin) -> str:
         f"dimension: {payload['dimension']}   pure: {'yes' if payload['pure'] else 'no'}   "
         f"faces: {payload['faces']}",
     ]
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def _vector_lines(payload: dict) -> str:
@@ -178,41 +181,52 @@ def _vector_lines(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_vectors(args, stdin) -> str:
+def _cmd_vectors(args, stdin) -> list[str]:
     c = _read_complex(args.input, stdin)
     payload = vector_json(c.f_vector())
     if args.pretty:
-        return _vector_lines(payload)
+        return [_vector_lines(payload)]
     return _dump(payload)
 
 
-def _cmd_series(args, stdin) -> str:
+def _cmd_series(args, stdin) -> list[str]:
     if args.eval is not None and not math.isfinite(args.eval):
         raise _Usage(f"--eval needs a finite number, got {args.eval}")
     c = _read_complex(args.input, stdin)
     e = f_to_e(c.f_vector())
-    payload: dict = {"e": [str(v) for v in e]}
+    terms, listed = {}, []
     if args.fine:
         fine = hilbert.fine_e_polynomial(c)
         if hilbert.coarse_from_fine(fine) != e:
             raise InternalInconsistency("fine series does not specialize to the e-vector")
-        payload["fine"] = [{"subset": list(subset), "coeff": str(coeff)}
-                           for subset, coeff in fine.sorted_terms()]
+        terms, listed = fine._terms, complexes._listed(c.n, fine._terms)
     if args.eval is not None:
         value = hilbert.evaluate_coarse(e, args.eval)
         # JSON has no infinity: a value beyond the double range is the string "inf"
-        payload["eval"] = {"t": args.eval, "value": value if math.isfinite(value) else str(value)}
-    if not args.pretty:
-        return _dump(payload)
-    lines = [f"e = ({', '.join(payload['e'])})"]
-    for term in payload.get("fine", ()):
-        lines.append("c{" + " ".join(term["subset"]) + "} = " + term["coeff"])
+        value = value if math.isfinite(value) else str(value)
+    e = [str(v) for v in e]
+    # the fine table goes out one string a term, built from its mask
+    if args.pretty:
+        out = [f"e = ({', '.join(e)})\n"]
+        out += ["c{" + " ".join(c._labels_of_mask(m)) + f"}} = {terms[m]}\n" for m in listed]
+        if args.eval is not None:
+            out.append(f"value at t={args.eval}: {value}\n")
+        return out
+    out = ['{"e": ' + json.dumps(e)]
+    if args.fine:
+        enc = [json.dumps(label) for label in c.labels]  # each label as json.dumps writes it
+        out.append(', "fine": [')
+        for j, m in enumerate(listed):
+            subset = ", ".join([enc[i] for i in complexes.bit_indices(m)])
+            out.append(f'{", " if j else ""}{{"subset": [{subset}], "coeff": "{terms[m]}"}}')
+        out.append("]")
     if args.eval is not None:
-        lines.append(f"value at t={args.eval}: {payload['eval']['value']}")
-    return "\n".join(lines) + "\n"
+        out.append(', "eval": ' + json.dumps({"t": args.eval, "value": value}, allow_nan=False))
+    out.append("}\n")
+    return out
 
 
-def _cmd_check(args, stdin) -> str:
+def _cmd_check(args, stdin) -> list[str]:
     c = _read_complex(args.input, stdin)
     report = properties.classify(c).to_dict()
     payload = vector_json(c.f_vector()) | report
@@ -224,7 +238,7 @@ def _cmd_check(args, stdin) -> str:
         lines.append(f"{key:18s} {'yes' if ok else 'no'}")
     if witness:
         lines.append(f"witness: {witness}")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def _ints(params: list[str], arity: int, what: str) -> list[int]:
@@ -236,19 +250,19 @@ def _ints(params: list[str], arity: int, what: str) -> list[int]:
         raise _Usage(f"{what} parameters must be integers: {params}") from None
 
 
-def _cmd_make(args, stdin) -> str:
+def _cmd_make(args, stdin) -> list[str]:
     kind = args.kind.replace("-", "_")
     if kind == "random":
         n, facet_count, max_size = _ints(args.params, 3, "random")
         c = complexes.random_complex(args.seed, n, facet_count, max_size)
-        return c.to_facet_text()
+        return [c.to_facet_text()]
     entry = complexes.GENERATORS.get(kind)
     if entry is None:
         known = ", ".join(sorted(complexes.GENERATORS)).replace("_", "-")
         raise _Usage(f"unknown kind {args.kind!r} (known: {known}, random)")
     fn, arity = entry
     values = _ints(args.params, arity, args.kind)
-    return fn(*values).to_facet_text()
+    return [fn(*values).to_facet_text()]
 
 
 def _parse_face(text: str) -> list[str]:
@@ -260,24 +274,24 @@ def _parse_face(text: str) -> list[str]:
     return parts
 
 
-def _cmd_link(args, stdin) -> str:
+def _cmd_link(args, stdin) -> list[str]:
     c = _read_complex(args.input, stdin)
-    return c.link(_parse_face(args.face)).to_facet_text()
+    return [c.link(_parse_face(args.face)).to_facet_text()]
 
 
-def _cmd_join(args, stdin) -> str:
+def _cmd_join(args, stdin) -> list[str]:
     if args.input1 == "-" and args.input2 == "-":
         raise _Usage("at most one join input may be '-'")
     c1 = _read_complex(args.input1, stdin)
     c2 = _read_complex(args.input2, stdin)
-    return c1.join(c2).to_facet_text()
+    return [c1.join(c2).to_facet_text()]
 
 
-def _cmd_suspend(args, stdin) -> str:
-    return _read_complex(args.input, stdin).suspension().to_facet_text()
+def _cmd_suspend(args, stdin) -> list[str]:
+    return [_read_complex(args.input, stdin).suspension().to_facet_text()]
 
 
-def _cmd_oracle(args, stdin) -> str:
+def _cmd_oracle(args, stdin) -> list[str]:
     k = args.max_entry
     if k < 0:
         raise _Usage("--max-entry must be >= 0")
@@ -292,7 +306,7 @@ def _cmd_oracle(args, stdin) -> str:
                 f"multidegree {a}: series coefficient and graded dimension disagree")
         checked += 1
     if args.pretty:
-        return f"ok: {checked} degrees checked\n"
+        return [f"ok: {checked} degrees checked\n"]
     return _dump({"ok": True, "checked": checked})
 
 

@@ -7,9 +7,10 @@ over those indices, so subset tests and power-set walks are single-word
 operations at the sizes this library targets (a few dozen vertices). This
 module owns that format: the constructor keeps the facet masks a sorted
 antichain and ``_mask_of`` reads a collection of labels by the one label
-rule. There are two listing orders: ``_listed`` lists faces and subsets by
-size, then labels, while ``facets()``, and so ``to_facet_text``, ``scx info``
-and ``repr``, sorts the facets' label tuples lexicographically.
+rule. There are two listing orders: ``_listed`` sorts face and subset masks
+by size, then labels, with no label tuples, while ``facets()``, and so
+``to_facet_text``, ``scx info`` and ``repr``, sorts the facets' label tuples
+lexicographically.
 
 Two degenerate complexes are kept apart deliberately: the *void* complex has
 no faces at all, not even the empty one, and every counting operation rejects
@@ -42,8 +43,8 @@ import sys
 from functools import cached_property, reduce
 from itertools import chain, combinations, islice, product
 from math import comb
-from operator import itemgetter, lt, or_
-from typing import Iterable, Iterator
+from operator import lt, or_
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DuplicateVertexInFacet,
@@ -80,7 +81,7 @@ __all__ = [
 # bytes each, and the fine table built from them peaks at about 152 bytes a
 # shared face: on two 21-vertex facets sharing 20 vertices, at the budget,
 # `scx vectors` and `scx check` peak at 97 MB and `scx series --fine` at
-# 167 MB; faces() builds its own face set and peaks at about 273 bytes a
+# 167 MB; faces() builds its own face set and peaks at about 177 bytes a
 # face on full_simplex(17). The generators hold the vertex entries of the
 # facet lists they build to the same number.
 FACE_BUDGET = 1 << 22
@@ -166,12 +167,19 @@ def _link_face_counts(c: SimplicialComplex) -> Iterator[tuple[str, list[int]]]:
                                 [(m ^ bit, k) for m, k in shared if m & bit])
 
 
-def _listed(labels: tuple[str, ...], masks: Iterable[int]) -> list[tuple[tuple[str, ...], int]]:
-    """(label tuple, mask) pairs in the one listing order: by size, then labels.
-    Two stable sorts, by labels and then by size, build no key tuple per item."""
-    items = sorted(((tuple(labels[i] for i in bit_indices(m)), m) for m in masks), key=itemgetter(0))
-    items.sort(key=lambda item: len(item[0]))
-    return items
+def _numeral(n: int) -> Callable[[int], str]:
+    """A mask's bits from vertex 0 up, as an n-digit numeral. Index order is label
+    order, so of two same-size masks the one with the lesser labels is larger."""
+    digits = f"0{n}b"
+    return lambda m: format(m, digits)[::-1]
+
+
+def _listed(n: int, masks: Iterable[int]) -> list[int]:
+    """The masks in the one listing order, by size, then labels: two stable
+    sorts, descending by ``_numeral`` and then by size. No label tuple is built."""
+    out = sorted(masks, key=_numeral(n), reverse=True)
+    out.sort(key=int.bit_count)
+    return out
 
 
 class SimplicialComplex:
@@ -399,7 +407,8 @@ class SimplicialComplex:
         """All faces as label tuples, ordered by size then labels, from the
         facets' submasks: ``_faces`` tries every pair of vertices."""
         self._check_budget()
-        return [face for face, _ in _listed(self.labels, set(chain.from_iterable(map(_submasks, self.facet_masks))))]
+        masks = _listed(self.n, set(chain.from_iterable(map(_submasks, self.facet_masks))))
+        return list(map(self._labels_of_mask, masks))
 
     def facets(self) -> tuple[tuple[str, ...], ...]:
         """The maximal faces as sorted label tuples."""

@@ -28,7 +28,7 @@ import math
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, _listed, _mask_of
+from .complexes import SimplicialComplex, _listed, _mask_of, bit_indices
 from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter, ScxError, TooLarge
 from .vectors import EVector, _check_int, e_polynomial
 
@@ -98,7 +98,8 @@ class FineEPolynomial:
 
     def sorted_terms(self) -> list[tuple[tuple[str, ...], int]]:
         """Nonzero terms as (label tuple, coefficient), by size, then labels."""
-        return [(subset, self._terms[m]) for subset, m in _listed(self.labels, self._terms)]
+        labels, terms = self.labels, self._terms
+        return [(tuple([labels[i] for i in bit_indices(m)]), terms[m]) for m in _listed(self.n, terms)]
 
     def __repr__(self):
         return f"FineEPolynomial(n={self.n}, d={self.d}, terms={len(self._terms)})"
@@ -110,7 +111,7 @@ def minimal_nonfaces(c: SimplicialComplex) -> tuple[tuple[str, ...], ...]:
     A subset of the vertices is a face exactly when it contains none of these.
     The complex finds them with its face set, in one search, and keeps both.
     """
-    return tuple(subset for subset, _ in _listed(c.labels, c._faces[1]))
+    return tuple(map(c._labels_of_mask, _listed(c.n, c._faces[1])))
 
 
 # The last multidegree packed, (a, n, mask), so that the query pair on one a

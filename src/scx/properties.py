@@ -30,7 +30,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _link_face_counts, _listed, bit_indices
+from .complexes import SimplicialComplex, _link_face_counts, _numeral, bit_indices
 from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter
 from .vectors import EVector, FVector, HVector, _sign, e_polynomial, f_to_e, f_to_h
 
@@ -147,8 +147,9 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     right-signed faces of each size k: the complex is Eulerian exactly when
     that count is f_k for every 1 <= k < d. The witness names the first
     failing face by size, then labels: at the smallest size k short of f_k,
-    the least of each facet's first k-subset, in label order, that is not
-    right-signed. No face set is built."""
+    the least vertex that is not right-signed when k = 1, else the least of
+    each facet's first k-subset, in label order, that is not right-signed.
+    No face set is built."""
     if not c.is_pure():
         return Verdict(False, "not pure")
     d = c.dimension() + 1
@@ -163,11 +164,14 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     if size == d:
         return Verdict(True)
     want = wanted[size]
-    firsts = (next((m for m in map(sum, combinations([1 << v for v in bit_indices(F)], size))
-                    if table.get(m, 0) != want), 0) for F in c.facet_masks)
-    face, sigma = _listed(c.labels, filter(None, firsts))[0]  # chi_top(link) = 1 - c_sigma
-    return Verdict(False, f"face {{{' '.join(face)}}}: link chi_top={1 - table.get(sigma, 0)}, "
-                          f"want {1 - want}")
+    if size == 1:  # every vertex is a face
+        sigma = next(1 << v for v in range(c.n) if table.get(1 << v, 0) != want)
+    else:  # the candidates share a size, so the first listed has the largest numeral
+        firsts = (next((m for m in map(sum, combinations([1 << v for v in bit_indices(F)], size))
+                        if table.get(m, 0) != want), 0) for F in c.facet_masks)
+        sigma = max(filter(None, firsts), key=_numeral(c.n))
+    face = " ".join(c._labels_of_mask(sigma))  # chi_top(link) = 1 - c_sigma
+    return Verdict(False, f"face {{{face}}}: link chi_top={1 - table.get(sigma, 0)}, want {1 - want}")
 
 
 def _sphere_from(c: SimplicialComplex, eul: Verdict) -> Verdict:

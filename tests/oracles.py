@@ -8,6 +8,7 @@ import math
 from collections import Counter
 from decimal import Decimal, localcontext
 from itertools import combinations
+from operator import itemgetter
 
 from scx import (IntPolynomial, InvalidParameter, LinkIdentityResult, bit_indices, check_property_e,
                  check_weak_property_e, from_facets, shift_poly)
@@ -287,6 +288,14 @@ def link_identity_by_links(c):
     if weak.ok:
         return LinkIdentityResult(True, True)
     return LinkIdentityResult(False, True, f"identity fails: {weak.witness}")
+
+
+def listed_by_labels(labels, masks):
+    """The masks in the listing order by its definition, by size, then labels:
+    two stable sorts of (label tuple, mask) pairs, by the tuples, then by size."""
+    items = sorted(((tuple(labels[i] for i in bit_indices(m)), m) for m in masks), key=itemgetter(0))
+    items.sort(key=lambda item: len(item[0]))
+    return [m for _, m in items]
 
 
 def fine_terms_by_submask_walk(c):

@@ -2,16 +2,19 @@
 
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scx import boundary_simplex, evaluate_coarse, hilbert, parse_facet_text
+from scx import boundary_simplex, evaluate_coarse, f_to_e, fine_e_polynomial, hilbert, parse_facet_text
 from scx.cli import run
 from oracles import NOT_LINE_ENDS
 
@@ -123,6 +126,68 @@ def test_series_fine_exits_one_when_the_fine_series_disagrees(monkeypatch, ex3_f
     monkeypatch.setattr(hilbert, "coarse_from_fine", lambda fine: None)
     assert cli(["series", "--fine", ex3_file]) == (
         1, "", "scx: InternalInconsistency: fine series does not specialize to the e-vector\n")
+
+
+# labels that json.dumps escapes: a quote, a backslash, a non-ASCII letter and
+# an astral emoji, a surrogate pair under ensure_ascii; "10" sorts before "2"
+ESCAPED_LABELS = ['a"b', "back\\slash", "é", "😀", "{}", "10", "2"]
+
+
+def _series_fine_by_one_dump(text, pretty, t):
+    """series --fine output as one json.dumps of the whole payload writes it,
+    and the --pretty lines, from the public API."""
+    c = parse_facet_text(text)
+    e = f_to_e(c.f_vector())
+    terms = fine_e_polynomial(c).sorted_terms()
+    value = None if t is None else evaluate_coarse(e, t)
+    value = value if value is None or math.isfinite(value) else str(value)
+    if pretty:
+        lines = [f"e = ({', '.join(map(str, e))})", *("c{" + " ".join(s) + "} = " + str(x) for s, x in terms)]
+        lines += [] if t is None else [f"value at t={t}: {value}"]
+        return "\n".join(lines) + "\n"
+    payload = {"e": [str(v) for v in e], "fine": [{"subset": list(s), "coeff": str(x)} for s, x in terms]}
+    if t is not None:
+        payload["eval"] = {"t": t, "value": value}
+    return json.dumps(payload, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_series_fine_writes_the_bytes_of_one_json_dump(seed):
+    rng = random.Random(seed)
+    text = "".join("facet " + " ".join(rng.sample(ESCAPED_LABELS, rng.randint(1, 5))) + "\n" for _ in range(8))
+    for argv, pretty, t in [([], False, None), (["--eval", "0.5"], False, 0.5), (["--eval", "1000"], False, 1000.0),
+                            (["--pretty"], True, None), (["--pretty", "--eval=-2.5"], True, -2.5)]:
+        want = _series_fine_by_one_dump(text, pretty, t)
+        assert cli(["series", "--fine", "-", *argv], stdin_text=text) == (0, want, "")
+
+
+def test_series_fine_leaves_stdout_empty_over_the_face_budget():
+    text = cli(["make", "full-simplex", "30"])[1]
+    code, out, err = cli(["series", "--fine", "-"], stdin_text=text)
+    assert (code, out) == (1, "") and err.startswith("scx: TooLarge: ")
+
+
+def test_series_fine_holds_little_beyond_its_output(tmp_path):
+    # the benchmark's cli shape: 24 vertices, 1,500 raw facets of 1 to 7, not pure;
+    # the listing, one string a term, must not cost several times the output
+    rng = random.Random(11)
+    path = tmp_path / "raw.facets"
+    path.write_text("".join("facet " + " ".join(f"v{v}" for v in rng.sample(range(1, 25), rng.randint(1, 7)))
+                            + "\n" for _ in range(1500)))
+    assert not parse_facet_text(path.read_text()).is_pure()
+    with open(tmp_path / "out.json", "w") as out:
+        tracemalloc.start()
+        try:
+            code = run(["series", "--fine", str(path)], stdout=out, stderr=io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = (tmp_path / "out.json").stat().st_size
+    assert code == 0 and size > 100_000
+    assert peak <= 8 * size, (peak, size)
+    # over 4,096 terms, so more than one write; a bare bool keeps pytest off a diff of 300 KB
+    same = (tmp_path / "out.json").read_text() == _series_fine_by_one_dump(path.read_text(), False, None)
+    assert same, "the output differs from one json.dumps of the payload"
 
 
 def strict_json(text):

@@ -33,8 +33,9 @@ from scx import (
     vector_json,
     whiskered_cycle,
 )
+from scx.complexes import _listed
 from oracles import (NOT_LINE_ENDS, antichain_families, closed_under_subsets, complexes_by_labels, faces_of,
-                     join_by_labels, link_by_faces)
+                     join_by_labels, link_by_faces, listed_by_labels)
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]  # the running 4-vertex example
 
@@ -405,6 +406,13 @@ def test_faces_match_the_combinations(corpus4):
 @given(drawn_complexes)
 def test_faces_match_the_combinations_on_drawn_complexes(c):
     _assert_faces_match_the_combinations(c)
+
+
+def test_the_mask_order_is_the_label_order(corpus5):
+    # labels 1..14 sort "10" before "2", so the index order is no numeric order
+    for c in [*corpus5, *(random_complex(seed, 14, 30, 6) for seed in range(200))]:
+        for masks in (c._fine_terms, *c._faces):
+            assert _listed(c.n, masks) == listed_by_labels(c.labels, masks), c
 
 
 def test_faces_walk_the_facets_not_the_minimal_nonface_search():

@@ -30,6 +30,7 @@ from scx import (
     taylor_coefficient,
     whiskered_cycle,
 )
+from scx import properties
 from scx.cli import run
 from scx.complexes import _mask_of
 from scx.errors import InvalidParameter, ScxError, VoidComplex
@@ -422,6 +423,21 @@ def test_eulerian_witnesses_name_the_first_failing_face(facets, witness):
     assert "_faces" not in vars(c)
     if c.n < 20:  # the link sums are quadratic in the faces, out of reach at 2^21
         assert eulerian_by_link_sums(c) == (False, witness)
+
+
+def test_a_failing_vertex_is_named_without_walking_the_facets(monkeypatch):
+    # 300 of the 4,368 5-subsets of 16 vertices: pure, and short of f_1 already
+    rng = random.Random(5)
+    c = from_facets(rng.sample(list(combinations(range(16), 5)), 300))
+    assert c.is_pure() and c.n == 16 and len(c.facet_masks) == 300
+
+    def refuse(*args):
+        raise AssertionError("the facets' subsets were walked")
+
+    monkeypatch.setattr(properties, "combinations", refuse)
+    v = is_eulerian(c)
+    assert len(v.witness.split("}")[0].split()) == 2  # "face {<one label>"
+    assert (v.ok, v.witness) == eulerian_by_link_sums(c)
 
 
 # -- the superset-sum table ----------------------------------------------------
