@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from itertools import product
@@ -45,7 +46,10 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     as one 'scx: ...' line. Only --help writes elsewhere: argparse prints it
     to the process's sys.stdout and run() returns 0. A verb returns its output
     as a list of strings, all built before the first write, so an error
-    leaves stdout empty.
+    leaves stdout empty. A failed write, such as a reader that closed the
+    pipe, or a stdout that is closed (None), is an OSError like any other:
+    exit 1, and stdout keeps what was already written. With stderr closed
+    too, the error line is dropped.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -53,24 +57,36 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     try:
         args = _build_parser().parse_args(list(argv) if argv is not None else None)
         out = args.handler(args, stdin)
+        if stdout is None:  # the process started with standard output closed
+            raise OSError("standard output is closed")
+        for i in range(0, len(out), 4096):  # few writes: on an unbuffered stdout each is a system call
+            stdout.write("".join(out[i:i + 4096]))
+        stdout.flush()
     except SystemExit as exc:  # --help, which argparse has printed
         return exc.code if isinstance(exc.code, int) else 2
     except _Usage as exc:
-        print(f"scx: usage error: {exc}", file=stderr)
-        return 2
+        code, message = 2, f"usage error: {exc}"
     except ScxError as exc:
-        print(f"scx: {type(exc).__name__}: {exc}", file=stderr)
-        return 1
+        code, message = 1, f"{type(exc).__name__}: {exc}"
     except OSError as exc:
-        print(f"scx: {exc}", file=stderr)
-        return 1
-    for i in range(0, len(out), 4096):  # few writes: on an unbuffered stdout each is a system call
-        stdout.write("".join(out[i:i + 4096]))
-    return 0
+        code, message = 1, str(exc)
+    else:
+        return 0
+    if stderr is not None:  # print(file=None) would write to stdout
+        print(f"scx: {message}", file=stderr)
+    return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # a failed write leaves the rest in stdout's buffer, and the flush at
+        # exit would report it as "Exception ignored": send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("link", help="link of a face, in facet-list form")
     p.add_argument("input")
     p.add_argument("--face", default="", metavar="A,B,...",
-                   help="comma-separated vertex labels (omit for the empty face)")
+                   help="comma-separated vertex labels (omit for the empty face); "
+                        "a label holding a comma cannot be named")
     p.set_defaults(handler=_cmd_link)
 
     p = sub.add_parser("join", help="join of two complexes, in facet-list form")

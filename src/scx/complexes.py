@@ -44,7 +44,7 @@ from functools import cached_property, reduce
 from itertools import chain, combinations, islice, product
 from math import comb
 from operator import lt, or_
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateVertexInFacet,
@@ -167,17 +167,12 @@ def _link_face_counts(c: SimplicialComplex) -> Iterator[tuple[str, list[int]]]:
                                 [(m ^ bit, k) for m, k in shared if m & bit])
 
 
-def _numeral(n: int) -> Callable[[int], str]:
-    """A mask's bits from vertex 0 up, as an n-digit numeral. Index order is label
-    order, so of two same-size masks the one with the lesser labels is larger."""
-    digits = f"0{n}b"
-    return lambda m: format(m, digits)[::-1]
-
-
 def _listed(n: int, masks: Iterable[int]) -> list[int]:
     """The masks in the one listing order, by size, then labels: two stable
-    sorts, descending by ``_numeral`` and then by size. No label tuple is built."""
-    out = sorted(masks, key=_numeral(n), reverse=True)
+    sorts, descending by the bits read from vertex 0 up (index order is label
+    order, so lesser labels read larger), then by size. No label tuple is built."""
+    digits = f"0{n}b"
+    out = sorted(masks, key=lambda m: format(m, digits)[::-1], reverse=True)
     out.sort(key=int.bit_count)
     return out
 
@@ -196,7 +191,10 @@ class SimplicialComplex:
     mask is dominated exactly when the AND of its vertices' bitsets is
     nonzero. On m distinct masks of at most |F| vertices that is
     O(m * |F|) word operations, not m^2 subset tests. The shared-face
-    search starts from the bitsets it keeps.
+    search starts from the bitsets it keeps, ``_holders``. Bit j of
+    ``_holders[v]`` indexes the masks in the order the filter kept them,
+    largest first, not ``facet_masks``: read only bit counts and ANDs from
+    them, never facet indices.
     """
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
@@ -305,7 +303,7 @@ class SimplicialComplex:
 
     @cached_property
     def _faces(self) -> tuple[set[int], tuple[int, ...]]:
-        """(face set, sorted minimal non-faces): every face mask, the empty one
+        """(face set, minimal non-faces): every face mask, the empty one
         included, and the face set's negative border (Mannila-Toivonen, 1997),
         from one search shaped as ``_shared``'s, after the face budget's check.
 
@@ -316,7 +314,8 @@ class SimplicialComplex:
         share leaves a face. The pre-order compares ascending vertex sequences
         largest first; at the dropped vertex, a drop holds a larger one and
         does not descend from the face joined, so it is in the set already.
-        The set is returned as built: a frozenset copy would add to the peak.
+        Both are returned as built, the minimal non-faces in the search's order,
+        which their readers list or only scan: a copy would add to the peak.
         The facets' bound does not price the minimal non-faces (a cycle of
         n vertices has n(n-3)/2 of them), so past FACE_BUDGET of them the
         search stops with TooLarge."""
@@ -351,7 +350,7 @@ class SimplicialComplex:
                 tried.append((face, facets))
 
         search([(1 << v, h) for v, h in reversed(list(enumerate(self._holders)))])
-        return faces, tuple(sorted(found))
+        return faces, tuple(found)
 
     @cached_property
     def _fine_terms(self) -> dict[int, int]:

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scx import boundary_simplex, evaluate_coarse, f_to_e, fine_e_polynomial, hilbert, parse_facet_text
+from scx import (boundary_simplex, cross_polytope, evaluate_coarse, f_to_e, fine_e_polynomial, hilbert,
+                 parse_facet_text)
 from scx.cli import run
 from oracles import NOT_LINE_ENDS
 
@@ -459,11 +460,18 @@ def test_info_reads_what_parse_facet_text_reads(tmp_path, text):
         assert json.loads(want[1])["facets"] == [["a", "b"]]
 
 
-def scx_subprocess(argv, data=b"", entry=("-c", "import sys; from scx.cli import main; sys.exit(main())")):
-    """Run the scx entry point in a fresh interpreter with the given stdin bytes."""
+MAIN = ("-c", "import sys; from scx.cli import main; sys.exit(main())")
+
+
+def scx_env():
+    """The environment in which a fresh interpreter imports scx from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, *entry, *argv], input=data, env=env,
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def scx_subprocess(argv, data=b"", entry=MAIN):
+    """Run the scx entry point in a fresh interpreter with the given stdin bytes."""
+    return subprocess.run([sys.executable, *entry, *argv], input=data, env=scx_env(),
                           capture_output=True, timeout=60)
 
 
@@ -480,6 +488,54 @@ def test_python_dash_m_matches_run(module, capsys):
         # run() without streams writes to sys.stdout and sys.stderr, which capsys reads
         out, err = capsys.readouterr()
         assert (proc.stdout.decode(), proc.stderr.decode()) == (out, err), argv
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_reader_closing_the_pipe_exits_one_with_one_line(tmp_path, unbuffered):
+    path = tmp_path / "cross8.scx"
+    path.write_text(cross_polytope(8).to_facet_text())
+    # more than a pipe holds, so a write meets the closed end
+    assert len(cli(["series", "--fine", str(path)])[1]) > 1 << 16
+    with subprocess.Popen([sys.executable, *MAIN, "series", "--fine", str(path)],
+                          env=scx_env() | {"PYTHONUNBUFFERED": unbuffered},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(os.read(proc.stdout.fileno(), 10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    # one line: no traceback, and no "Exception ignored" from the flush at exit
+    assert err.startswith(b"scx: ") and err.count(b"\n") == 1 and err.endswith(b"\n"), err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_pipe_closed_before_a_short_output_exits_one_with_one_line(unbuffered):
+    # the input arrives after the read end is closed, so the first write fails;
+    # a buffered stdout still holds the output when run() returns
+    with subprocess.Popen([sys.executable, *MAIN, "vectors", "-"],
+                          env=scx_env() | {"PYTHONUNBUFFERED": unbuffered},
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        proc.stdin.write(EX3_TEXT.encode())
+        proc.stdin.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b"scx: [Errno 32] Broken pipe\n", err
+
+
+def test_a_closed_stdout_exits_one_with_one_line(ex3_file):
+    # the shell closes fd 1 before the interpreter starts, which then has no sys.stdout
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, *MAIN, "vectors", ex3_file],
+                          env=scx_env(), stderr=subprocess.PIPE, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"scx: standard output is closed\n")
+
+
+def test_a_closed_stderr_keeps_the_error_off_stdout(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)  # where print(file=None) writes
+    monkeypatch.setattr(sys, "stderr", None)
+    assert run(["make", "cross-polytope", "0"]) == 1
+    assert run(["make", "cross-polytope"]) == 2
+    assert out.getvalue() == ""
 
 
 def test_non_utf8_input_exits_one_in_a_subprocess(tmp_path):

@@ -15,9 +15,13 @@ from scx import (
     NotAnEVector,
     NotAnHVector,
     ScxError,
+    boundary_simplex,
+    cross_polytope,
+    cycle,
     e_polynomial,
     e_to_f,
     evaluate_coarse,
+    evaluate_e_poly_exact,
     f_polynomial,
     f_to_e,
     f_to_h,
@@ -241,6 +245,37 @@ def test_euler_identities(corpus4):
         assert e[0] == -chi
         assert sum(e) == 1
         assert sum(e[i] for i in range(1, len(e))) == chi_top
+
+
+def e_half_and_h_minus_one(c):
+    """(e(1/2), h(-1) / 2^d), both exact, from the complex's f-vector."""
+    f = c.f_vector()
+    return (evaluate_e_poly_exact(f_to_e(f), Fraction(1, 2)),
+            Fraction(h_polynomial(f_to_h(f))(-1), 2 ** f.d))
+
+
+def test_e_at_one_half_is_h_at_minus_one_over_two_to_the_d(corpus5):
+    # e(t) = f(t - 1), so e(1/2) = sum_k f_{k-1} (-1/2)^k = h(-1) / 2^d
+    for c in corpus5:
+        e_half, h_minus_one = e_half_and_h_minus_one(c)
+        assert e_half == h_minus_one, c
+
+
+@given(drawn_facets)
+def test_e_at_one_half_is_h_at_minus_one_over_two_to_the_d_on_drawn_complexes(facets):
+    e_half, h_minus_one = e_half_and_h_minus_one(from_facets(facets))
+    assert e_half == h_minus_one
+
+
+def test_e_at_one_half_closed_forms():
+    # the values criterion 07 reports: a sphere with d even has e(1/2) = +-gamma_{d/2} / 2^d
+    for n in range(3, 13):
+        assert e_half_and_h_minus_one(cycle(n)) == (Fraction(4 - n, 4),) * 2, n
+    for d in range(1, 7):
+        assert e_half_and_h_minus_one(cross_polytope(d)) == (0, 0), d
+    for d in range(1, 9):
+        want = Fraction(1, 2 ** d) if d % 2 == 0 else 0
+        assert e_half_and_h_minus_one(boundary_simplex(d)) == (want, want), d
 
 
 # -- Pascal matrices -----------------------------------------------------------------
