@@ -38,13 +38,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _Usage(message)
 
+    def print_help(self, file=None):
+        # argparse would print to stderr when the process has no stdout
+        if (file or sys.stdout) is None:
+            raise OSError("standard output is closed")
+        super().print_help(file)
+
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     """Execute one command; returns the exit code without calling sys.exit.
 
     Results go to stdout and every error, usage errors included, to stderr
     as one 'scx: ...' line. Only --help writes elsewhere: argparse prints it
-    to the process's sys.stdout and run() returns 0. A verb returns its output
+    to the process's sys.stdout and run() returns 0, or 1 when that is closed
+    (None), with the same 'scx:' line as a verb's. A verb returns its output
     as a list of strings, all built before the first write, so an error
     leaves stdout empty. A failed write, such as a reader that closed the
     pipe, or a stdout that is closed (None), is an OSError like any other:

@@ -16,10 +16,11 @@ Two degenerate complexes are kept apart deliberately: the *void* complex has
 no faces at all, not even the empty one, and every counting operation rejects
 it with :class:`~scx.errors.VoidComplex`; the complex ``{}`` whose only face
 is the empty face is perfectly ordinary, with dimension -1 and face count
-vector ``(1,)``. The rule lives with the faces: the face budget's check
-raises VoidComplex before the face set or the shared faces are built, as do
-the queries that read the facets first (membership, dimension, purity, links
-and joins), so whatever reads one of them first needs no check of its own.
+vector ``(1,)``. The rule lives with the faces: the shared-face search
+raises VoidComplex before it starts, and so do the face set and ``faces()``,
+which read the face count from it first, and the queries that read the
+facets first (membership, dimension, purity, links and joins), so whatever
+reads one of them first needs no check of its own.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination. A complex builds its
@@ -73,17 +74,20 @@ __all__ = [
 ]
 
 
-# The most faces the face set or the shared faces may hold, checked against the
-# cheap upper bound sum over facets of 2^|F| before any face is built. On
-# 64-bit CPython 3.11 (VmHWM, one process) the face set of full_simplex(21),
+# The most faces the face set, faces() or a superset-sum table may hold, by the
+# exact face count read off the shared faces S first; the most minimal
+# non-faces, and twice the most shared faces, found so far by their searches.
+# A shared face lies in two facets, so 2|S| <= sum over facets of 2^|F|, as is
+# the face count: a complex whose facets bound its faces by the budget passes.
+# On 64-bit CPython 3.11 (VmHWM, one process) the face set of full_simplex(21),
 # the full budget, keeps about 64 bytes a face and peaks at 67 while it grows,
-# at 298 MB. The shared faces number at most half the bound and keep about 72
-# bytes each, and the fine table built from them peaks at about 152 bytes a
-# shared face: on two 21-vertex facets sharing 20 vertices, at the budget,
-# `scx vectors` and `scx check` peak at 97 MB and `scx series --fine` at
-# 167 MB; faces() builds its own face set and peaks at about 177 bytes a
-# face on full_simplex(17). The generators hold the vertex entries of the
-# facet lists they build to the same number.
+# at 298 MB; faces() builds its own face set and peaks at about 177 bytes a
+# face on full_simplex(17). At the cap on S, three 21-vertex facets on 22
+# vertices (|S| = 2^21), `scx vectors` peaks at 178 MB and `scx series --fine`
+# at 319 MB; four 20-vertex facets on 21 vertices (|S| = 1,441,792), the
+# largest S found that the facets' bound admitted, at 178 and 299 MB. The
+# generators hold the vertex entries of the facet lists they build to the same
+# number.
 FACE_BUDGET = 1 << 22
 
 
@@ -140,6 +144,12 @@ def _mask_of(index: dict[str, int], labels: Iterable) -> int:
             raise FaceNotInComplex(f"no vertex labeled {label!r}")
         mask |= 1 << index[label]
     return mask
+
+
+def _check_faces(count: int) -> None:
+    """TooLarge when a build would hold more than FACE_BUDGET faces, by their exact count."""
+    if count > FACE_BUDGET:
+        raise TooLarge(f"the face count is {count}, over the face budget of {FACE_BUDGET}")
 
 
 def _face_counts(facets: Iterable[int], shared: Iterable[tuple[int, int]]) -> list[int]:
@@ -255,15 +265,6 @@ class SimplicialComplex:
 
     # -- faces --------------------------------------------------------------
 
-    def _check_budget(self) -> None:
-        """VoidComplex for void; TooLarge when the facets could hold more than
-        FACE_BUDGET faces, by the bound sum over facets of 2^|F|."""
-        self._require_faces()
-        bound = sum(1 << m.bit_count() for m in self.facet_masks)
-        if bound > FACE_BUDGET:
-            raise TooLarge(f"the facets bound the face count by {bound}, "
-                           f"over the face budget of {FACE_BUDGET}")
-
     @cached_property
     def _shared(self) -> dict[int, int]:
         """The shared faces S, those in two facets or more, each mask with
@@ -279,10 +280,16 @@ class SimplicialComplex:
         children too, and each child tries only the vertices of its shared
         siblings (Eclat). The search visits each shared face once and no
         other. Children go largest vertex first, so a face's subtree is the
-        run of masks after it, up to the next one no larger than it. The face
-        budget's check comes first, so the recursion is at most 22 deep.
+        run of masks after it, up to the next one no larger than it. Past
+        FACE_BUDGET // 2 shared faces found, the search stops with TooLarge
+        before it descends again: a shared face lies in two facets, so no
+        complex whose facets bound its faces by the budget has more. Every
+        subset of a face comes before it, so a face of k vertices that
+        descends has 2^k shared faces before it, and the recursion is at most
+        about 22 deep.
         """
-        self._check_budget()
+        self._require_faces()
+        cap = FACE_BUDGET // 2
         shared: dict[int, int] = {}
 
         def search(children: list[tuple[int, int]]) -> None:
@@ -293,6 +300,9 @@ class SimplicialComplex:
                 if tried:
                     below = [(face | f, x) for f, h in tried if (x := h & facets).bit_count() > 1]
                     if below:
+                        if len(shared) > cap:
+                            raise TooLarge(f"{len(shared)} shared faces found so far, "
+                                           f"over half the face budget of {FACE_BUDGET}")
                         search(below)
                 tried.append((face, facets))
 
@@ -305,7 +315,8 @@ class SimplicialComplex:
     def _faces(self) -> tuple[set[int], tuple[int, ...]]:
         """(face set, minimal non-faces): every face mask, the empty one
         included, and the face set's negative border (Mannila-Toivonen, 1997),
-        from one search shaped as ``_shared``'s, after the face budget's check.
+        from one search shaped as ``_shared``'s, after the exact face count's
+        check.
 
         A child joins a face with an earlier sibling, its bitset the AND of
         theirs, and is a face when that is nonzero. Each face and minimal
@@ -316,10 +327,10 @@ class SimplicialComplex:
         does not descend from the face joined, so it is in the set already.
         Both are returned as built, the minimal non-faces in the search's order,
         which their readers list or only scan: a copy would add to the peak.
-        The facets' bound does not price the minimal non-faces (a cycle of
+        The face count does not price the minimal non-faces (a cycle of
         n vertices has n(n-3)/2 of them), so past FACE_BUDGET of them the
         search stops with TooLarge."""
-        self._check_budget()
+        _check_faces(sum(self.f_vector()))
         faces = {0}
         found: list[int] = []
 
@@ -405,7 +416,7 @@ class SimplicialComplex:
     def faces(self) -> list[tuple[str, ...]]:
         """All faces as label tuples, ordered by size then labels, from the
         facets' submasks: ``_faces`` tries every pair of vertices."""
-        self._check_budget()
+        _check_faces(sum(self.f_vector()))
         masks = _listed(self.n, set(chain.from_iterable(map(_submasks, self.facet_masks))))
         return list(map(self._labels_of_mask, masks))
 
@@ -444,7 +455,7 @@ class SimplicialComplex:
 
     @cached_property
     def _f_vector(self) -> FVector:
-        # _shared raises VoidComplex and the face budget's TooLarge first
+        # _shared raises VoidComplex, and TooLarge past its cap, first
         return FVector(_face_counts(self.facet_masks, self._shared.items()))
 
     def f_vector(self) -> FVector:

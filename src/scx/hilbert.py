@@ -28,7 +28,7 @@ import math
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, _listed, _mask_of, bit_indices
+from .complexes import SimplicialComplex, _check_faces, _listed, _mask_of, bit_indices
 from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter, ScxError, TooLarge
 from .vectors import EVector, _check_int, e_polynomial
 
@@ -53,7 +53,9 @@ class FineEPolynomial:
     c_empty equals e_0, and the superset sums recover face membership:
     sum of c_tau over tau containing rho is 1 when rho is a face, else 0.
     The first superset-sum query builds a table of them in O(n * #faces)
-    steps, once; every query after that is one O(1) lookup. Immutable once
+    steps, once, one key a face; every query after that is one O(1) lookup.
+    The table is priced first by the face count e(2) = sum of c_tau 2^|tau|,
+    exact from the terms alone: past FACE_BUDGET, TooLarge. Immutable once
     built; construct through :func:`fine_e_polynomial`, which passes the
     complex's label index and its fine table, shared rather than copied.
     """
@@ -86,12 +88,13 @@ class FineEPolynomial:
 
     @cached_property
     def _superset_sums(self) -> dict[int, int]:
+        # one key a face: sum over tau of c_tau 2^|tau| is e(2) = f(1), the face count
+        _check_faces(sum(x << m.bit_count() for m, x in self._terms.items()))
         # the zeta transform run upwards from the terms: the pass for vertex v
         # adds h(m) into h(m minus v) for each key m holding v; keys absent
         # from the copy start at 0, and masks below no term stay absent (sum 0)
         h = dict(self._terms)
-        for v in range(self.n):
-            bit = 1 << v
+        for bit in [1 << v for v in range(self.n)]:
             for m, x in [(m, x) for m, x in h.items() if m & bit]:
                 h[m ^ bit] = h.get(m ^ bit, 0) + x
         return h
@@ -206,7 +209,8 @@ def taylor_coefficient(p: FineEPolynomial, a: Sequence[int]) -> int:
     subset contains the support of a, so this is the superset sum over
     supp(a); it must always equal :func:`graded_dimension` for the same a.
     The first query on p builds its superset-sum table in O(n * #faces)
-    steps; each query after that is O(1). With :func:`graded_dimension` on
+    steps, or raises TooLarge when the face count e(2) is over the face
+    budget; each query after that is O(1). With :func:`graded_dimension` on
     the same tuple of ints, a is packed once.
     """
     return p._superset_sums.get(_support_mask(p.n, a), 0)

@@ -205,8 +205,9 @@ def check_link_identity(c: SimplicialComplex) -> LinkIdentityResult:
 
     No link is built: each link's faces are counted from the facets and the
     shared faces that hold its vertex. The vertices go in label order, each
-    with its dimension test first. The shared faces' face budget applies to
-    the whole complex: past it, TooLarge.
+    with its dimension test first. The shared faces are found for the whole
+    complex, so their cap, half the face budget, applies to it as a whole:
+    past it, TooLarge, even where one small link would settle the hypothesis.
     """
     d = c.dimension() + 1
     if d < 1:

@@ -162,10 +162,14 @@ def test_series_fine_writes_the_bytes_of_one_json_dump(seed):
         assert cli(["series", "--fine", "-", *argv], stdin_text=text) == (0, want, "")
 
 
-def test_series_fine_leaves_stdout_empty_over_the_face_budget():
-    text = cli(["make", "full-simplex", "30"])[1]
-    code, out, err = cli(["series", "--fine", "-"], stdin_text=text)
-    assert (code, out) == (1, "") and err.startswith("scx: TooLarge: ")
+def test_series_fine_leaves_stdout_empty_over_the_face_budget(monkeypatch):
+    import scx.complexes as complexes
+
+    # the tetrahedron's boundary has 11 shared faces; a cap of 4 stops the search
+    text = cli(["make", "boundary-simplex", "3"])[1]
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 8)
+    assert cli(["series", "--fine", "-"], stdin_text=text) == (
+        1, "", "scx: TooLarge: 5 shared faces found so far, over half the face budget of 8\n")
 
 
 def test_series_fine_holds_little_beyond_its_output(tmp_path):
@@ -529,6 +533,16 @@ def test_a_closed_stdout_exits_one_with_one_line(ex3_file):
     assert (proc.returncode, proc.stderr) == (1, b"scx: standard output is closed\n")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["info", "--help"]])
+def test_help_with_stdout_closed_exits_one_with_one_line(argv):
+    # argparse would print the help to stderr when the process has no stdout
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, *MAIN, *argv],
+                          env=scx_env(), stderr=subprocess.PIPE, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"scx: standard output is closed\n")
+    proc = scx_subprocess(argv)
+    assert (proc.returncode, proc.stderr) == (0, b"") and proc.stdout.startswith(b"usage: scx ")
+
+
 def test_a_closed_stderr_keeps_the_error_off_stdout(monkeypatch):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)  # where print(file=None) writes
@@ -549,13 +563,16 @@ def test_non_utf8_input_exits_one_in_a_subprocess(tmp_path):
 
 
 def test_info_refuses_a_complex_over_the_face_budget():
+    # 2^31 faces and no shared one: info counts them exactly
     text = cli(["make", "full-simplex", "30"])[1]
     code, out, err = cli(["info", "-"], stdin_text=text)
-    assert (code, out) == (1, "") and err.startswith("scx: TooLarge: ")
-    proc = scx_subprocess(["info", "-"], text.encode())
+    assert (code, err) == (0, "") and json.loads(out)["faces"] == 2147483648
+    # the oracle sweeps one multidegree, but its superset sums would hold every face
+    proc = scx_subprocess(["oracle", "-", "--max-entry", "0"], text.encode())
     assert proc.returncode == 1, proc.stderr
     assert b"Traceback" not in proc.stderr
-    assert proc.stdout == b"" and proc.stderr.startswith(b"scx: TooLarge: ")
+    assert (proc.stdout, proc.stderr) == (
+        b"", b"scx: TooLarge: the face count is 2147483648, over the face budget of 4194304\n")
 
 
 def test_make_refuses_a_generator_over_the_face_budget(monkeypatch):

@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+from math import comb
 from unittest import mock
 
 import pytest
@@ -28,8 +29,10 @@ from scx import (
     from_facets,
     full_simplex,
     make,
+    minimal_nonfaces,
     parse_facet_text,
     random_complex,
+    taylor_coefficient,
     vector_json,
     whiskered_cycle,
 )
@@ -426,26 +429,91 @@ def test_faces_walk_the_facets_not_the_minimal_nonface_search():
 def test_face_budget_refuses_before_enumerating(monkeypatch):
     import scx.complexes as complexes
 
-    # 2^31 possible faces: refused by the bound, without building any face
+    # 2^31 faces and no shared one: the f-vector is exact, the listing refused
+    # by the exact face count, without building any face
     big = full_simplex(30)
-    for query in (big.f_vector, big.faces):
-        with pytest.raises(TooLarge, match=f"2147483648, over the face budget of {complexes.FACE_BUDGET}"):
-            query()
-    assert big.dimension() == 30 and big.is_pure()
-    # the guard compares sum over facets of 2^|F| with the budget: equal passes
-    monkeypatch.setattr(complexes, "FACE_BUDGET", 12)
-    assert sum(from_facets([[1, 2, 3], [3, 4]]).f_vector()) == 10
-    with pytest.raises(TooLarge, match="by 14, over the face budget of 12"):
-        from_facets([[1, 2, 3], [3, 4], [5]]).f_vector()
-
-
-def test_face_budget_message_is_the_same_for_the_shared_faces():
-    # the f-vector reads the shared faces, not the face set, behind the same check
-    big = full_simplex(30)
+    assert tuple(big.f_vector()) == tuple(comb(31, k) for k in range(32))
     with pytest.raises(TooLarge) as refused:
-        big.f_vector()
-    assert str(refused.value) == "the facets bound the face count by 2147483648, over the face budget of 4194304"
-    assert "_shared" not in vars(big) and "_faces" not in vars(big)
+        big.faces()
+    assert str(refused.value) == "the face count is 2147483648, over the face budget of 4194304"
+    assert big.dimension() == 30 and big.is_pure() and "_faces" not in vars(big)
+    # the guard compares the exact face count with the budget: equal passes
+    c = from_facets([[1, 2, 3], [3, 4]])
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 10)
+    assert sum(c.f_vector()) == len(c.faces()) == 10
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 9)
+    with pytest.raises(TooLarge, match="^the face count is 10, over the face budget of 9$"):
+        c.faces()
+
+
+def test_face_budget_message_is_the_same_for_the_shared_faces(monkeypatch):
+    import scx.complexes as complexes
+
+    # the shared faces are refused as the minimal non-faces are, by a running
+    # count: S of the tetrahedron's boundary is its 11 faces of at most 2
+    # vertices, and with a cap of 4 the search stops before it descends from {2}
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 8)
+    c = SimplicialComplex(tuple("1234"), [7, 11, 13, 14])
+    with pytest.raises(TooLarge) as refused:
+        c.f_vector()
+    assert str(refused.value) == "5 shared faces found so far, over half the face budget of 8"
+    assert "_shared" not in vars(c)
+    # a budget of 2 |S| = 22 passes: the facets' bound, 4 * 2^3 = 32, may be far above it
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 22)
+    assert tuple(c.f_vector()) == (1, 4, 6, 4) and len(c._shared) == 11
+
+
+def _facet_bound(c):
+    return sum(1 << m.bit_count() for m in c.facet_masks)
+
+
+def _assert_the_budget_rests_on_the_facet_bound(c):
+    # a shared face is in two facets and a face in one, so the facets, counted
+    # once each, bound 2 |S| and the face count by sum over facets of 2^|F|
+    bound = _facet_bound(c)
+    assert 2 * len(c._shared) <= bound and sum(c.f_vector()) <= bound, c
+    # at a budget of that bound every build answers, the minimal non-faces
+    # whenever they number no more than it: the bound never priced them
+    count = len(c._faces[1])
+    fresh = SimplicialComplex(c.labels, c.facet_masks)
+    with mock.patch("scx.complexes.FACE_BUDGET", bound):
+        assert fresh.f_vector() == c.f_vector()
+        assert len(fresh.faces()) == sum(c.f_vector())
+        assert taylor_coefficient(fine_e_polynomial(fresh), (0,) * c.n) == 1
+        if count <= bound:
+            assert len(minimal_nonfaces(fresh)) == count
+        else:
+            with pytest.raises(TooLarge, match="minimal non-faces found so far"):
+                minimal_nonfaces(fresh)
+
+
+def test_every_complex_the_facet_bound_admits_is_admitted(corpus5):
+    for c in corpus5:
+        _assert_the_budget_rests_on_the_facet_bound(c)
+
+
+@given(st.lists(st.frozensets(st.integers(1, 12), max_size=7), min_size=1, max_size=10).map(from_facets))
+def test_every_drawn_complex_the_facet_bound_admits_is_admitted(c):
+    _assert_the_budget_rests_on_the_facet_bound(c)
+
+
+def test_the_exact_face_count_admits_what_the_facet_bound_refused(monkeypatch):
+    import scx.complexes as complexes
+
+    # two triangles on an edge: 12 faces, 4 of them shared, and the facets bound them by 16
+    c = from_facets([[1, 2, 3], [2, 3, 4]])
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 12)
+    assert _facet_bound(c) == 16 and len(c.faces()) == 12 and minimal_nonfaces(c) == (("1", "4"),)
+    assert taylor_coefficient(fine_e_polynomial(c), (1, 1, 1, 0)) == 1
+
+
+def test_face_counts_are_exact_past_the_face_budget():
+    for d in range(1, 61):
+        assert tuple(full_simplex(d).f_vector()) == tuple(comb(d + 1, k) for k in range(d + 2)), d
+    # two facets of a and b vertices sharing c: 2^a + 2^b - 2^c faces
+    for a, b, c in [(30, 30, 10), (40, 25, 0), (45, 45, 12), (60, 2, 1), (3, 50, 3)]:
+        facets = [range(a), range(a - c, a - c + b)]
+        assert sum(from_facets(facets).f_vector()) == 2 ** a + 2 ** b - 2 ** c, (a, b, c)
 
 
 # each generator with the vertex entries its facet list holds, counted by hand

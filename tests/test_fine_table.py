@@ -20,6 +20,8 @@ from scx import (
     coarse_from_fine,
     cross_polytope,
     cycle,
+    evaluate_e_poly_exact,
+    f_to_e,
     fine_e_polynomial,
     from_facets,
     full_simplex,
@@ -479,6 +481,23 @@ def test_taylor_coefficient_equals_the_term_scan(facets, degree):
     a = tuple(degree[:p.n])
     support = sum(1 << i for i, ai in enumerate(a) if ai)
     assert taylor_coefficient(p, a) == superset_sum_by_term_scan(p, support)
+
+
+def _assert_the_table_is_priced_by_its_size(c):
+    # e(2) = f(1): the terms weighted by 2^|tau| count the faces, one table key each
+    p = fine_e_polynomial(c)
+    weighted = sum(x << m.bit_count() for m, x in p._terms.items())
+    assert weighted == sum(c.f_vector()) == len(p._superset_sums) == evaluate_e_poly_exact(f_to_e(c.f_vector()), 2)
+
+
+def test_the_superset_sums_hold_one_key_a_face(corpus5):
+    for c in corpus5:
+        _assert_the_table_is_priced_by_its_size(c)
+
+
+@given(drawn_complexes)
+def test_the_superset_sums_of_drawn_complexes_hold_one_key_a_face(c):
+    _assert_the_table_is_priced_by_its_size(c)
 
 
 def test_fine_e_polynomial_leaves_the_table_unbuilt():
