@@ -31,9 +31,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # any negative number float() reads is a value, digit-grouping underscores
-        # included; argparse's own pattern takes '-1e-3' for an option
+        # and inf, infinity and nan in any case included; argparse's own pattern
+        # takes '-1e-3' for an option
         d = r"\d(?:_?\d)*"
-        self._negative_number_matcher = re.compile(rf"^-({d}(?:\.(?:{d})?)?|\.{d})(?:[eE][-+]?{d})?$")
+        self._negative_number_matcher = re.compile(
+            rf"^-(?:({d}(?:\.(?:{d})?)?|\.{d})(?:[eE][-+]?{d})?|(?i:inf|infinity|nan))$")
 
     def error(self, message):
         raise _Usage(message)
@@ -241,7 +243,7 @@ def _cmd_series(args, stdin) -> list[str]:
         enc = [json.dumps(label) for label in c.labels]  # each label as json.dumps writes it
         out.append(', "fine": [')
         for j, m in enumerate(listed):
-            subset = ", ".join([enc[i] for i in complexes.bit_indices(m)])
+            subset = ", ".join([enc[i] for i in complexes._bits(m)])
             out.append(f'{", " if j else ""}{{"subset": [{subset}], "coeff": "{terms[m]}"}}')
         out.append("]")
     if args.eval is not None:

@@ -28,7 +28,7 @@ import math
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, _check_faces, _listed, _mask_of, bit_indices
+from .complexes import SimplicialComplex, _bits, _check_faces, _listed, _mask_of
 from .errors import DimensionMismatch, InternalInconsistency, InvalidParameter, ScxError, TooLarge
 from .vectors import EVector, _check_int, e_polynomial
 
@@ -102,7 +102,7 @@ class FineEPolynomial:
     def sorted_terms(self) -> list[tuple[tuple[str, ...], int]]:
         """Nonzero terms as (label tuple, coefficient), by size, then labels."""
         labels, terms = self.labels, self._terms
-        return [(tuple([labels[i] for i in bit_indices(m)]), terms[m]) for m in _listed(self.n, terms)]
+        return [(tuple([labels[i] for i in _bits(m)]), terms[m]) for m in _listed(self.n, terms)]
 
     def __repr__(self):
         return f"FineEPolynomial(n={self.n}, d={self.d}, terms={len(self._terms)})"

@@ -30,7 +30,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _link_face_counts, _listed, bit_indices
+from .complexes import SimplicialComplex, _bits, _link_face_counts, _listed
 from .errors import HypothesisNotMet, InternalInconsistency, InvalidParameter
 from .vectors import EVector, FVector, HVector, _sign, e_polynomial, f_to_e, f_to_h
 
@@ -167,7 +167,7 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     if size == 1:  # every vertex is a face
         sigma = next(1 << v for v in range(c.n) if table.get(1 << v, 0) != want)
     else:  # the candidates share a size, so the first listed has the least labels
-        firsts = (next((m for m in map(sum, combinations([1 << v for v in bit_indices(F)], size))
+        firsts = (next((m for m in map(sum, combinations([1 << v for v in _bits(F)], size))
                         if table.get(m, 0) != want), 0) for F in c.facet_masks)
         sigma = _listed(c.n, filter(None, firsts))[0]
     face = " ".join(c._labels_of_mask(sigma))  # chi_top(link) = 1 - c_sigma

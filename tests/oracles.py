@@ -298,6 +298,14 @@ def listed_by_labels(labels, masks):
     return [m for _, m in items]
 
 
+def search_order_key(mask):
+    """The shared-face search's pre-order as a sort key: the mask's vertices,
+    ascending and negated, compared lexicographically. A child adds a vertex
+    above its face's top one, so a face is a prefix of, and comes before, its
+    whole subtree, one contiguous run; siblings go largest new vertex first."""
+    return tuple(-v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def fine_terms_by_submask_walk(c):
     """Nonzero fine coefficients as sorted (labels, coeff) pairs, expanding
     prod over i in sigma of (exp(x_i) - 1) for every face by walking its subsets."""

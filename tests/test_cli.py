@@ -234,7 +234,10 @@ def test_series_eval_takes_a_negative_number_in_any_form(t, value):
 
 
 @pytest.mark.parametrize("t, message", [
-    ("-inf", "argument --eval: expected one argument"),
+    ("-inf", "--eval needs a finite number, got -inf"),
+    # every spelling of infinity and nan float() reads, in any case: a negative one is a value too
+    *((t, f"--eval needs a finite number, got {float(t)}") for t in (
+        "-Infinity", "-nan", "-INF", "-iNfInItY", "-NaN", "Infinity", "INF", "+inf", "+nan", "NaN")),
     ("nan", "--eval needs a finite number, got nan"),
     ("-1e999", "--eval needs a finite number, got -inf"),
     ("-1__0", "argument --eval: expected one argument"),  # float() refuses a doubled underscore too

@@ -36,7 +36,7 @@ from scx import (
     vector_json,
     whiskered_cycle,
 )
-from scx.complexes import _listed
+from scx.complexes import _bits, _listed
 from oracles import (NOT_LINE_ENDS, antichain_families, closed_under_subsets, complexes_by_labels, faces_of,
                      join_by_labels, link_by_faces, listed_by_labels)
 
@@ -151,6 +151,17 @@ def test_bit_indices_refuses_a_negative_mask():
     for bad in (1.5, "a"):
         with pytest.raises(InvalidParameter, match="nonnegative mask, got "):
             next(bit_indices(bad))
+
+
+def test_the_one_decoder_lists_the_set_bits_ascending():
+    def by_digits(mask):
+        return [i for i, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
+
+    rng = random.Random(12)
+    masks = [*range(1 << 12), *(rng.getrandbits(rng.randint(13, 200)) for _ in range(3000))]
+    for m in masks:
+        assert _bits(m) == by_digits(m) == list(bit_indices(m)), m
+    assert list(bit_indices(True)) == [0]  # a bool is an int, and bit_indices checks no more
 
 
 def test_integer_labels_cost_what_their_strings_cost():
@@ -604,8 +615,10 @@ def test_enumerate_tiny_cases():
     ]
 
 
-def test_enumerate_counts_and_determinism(corpus3):
-    assert len(corpus3) == 19
+def test_enumerate_counts_and_determinism(corpus3, corpus4, corpus5):
+    # the Dedekind numbers less one: every antichain of subsets of {1..n} but the empty one
+    sizes = [len(list(enumerate_all_complexes(n))) for n in (1, 2)] + [len(corpus3), len(corpus4), len(corpus5)]
+    assert sizes == [2, 5, 19, 167, 7580]
     assert corpus3 == list(enumerate_all_complexes(3))
     assert len(set(corpus3)) == len(corpus3)
 

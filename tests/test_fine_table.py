@@ -44,6 +44,7 @@ from oracles import (
     f_vector_of,
     fine_terms_by_submask_walk,
     fine_terms_by_zeta,
+    search_order_key,
     superset_sum_by_term_scan,
 )
 
@@ -357,6 +358,21 @@ def test_the_shared_faces_list_every_subset_first(corpus5):
 @given(drawn_random_complexes)
 def test_the_shared_faces_list_every_subset_first_on_random_complexes(c):
     _assert_subsets_come_first(c)
+
+
+def _assert_the_search_pre_order(c):
+    # _fine_terms reads each face's subtree as the run of masks after it
+    assert list(c._shared) == sorted(c._shared, key=search_order_key), c
+
+
+def test_the_shared_faces_keep_the_search_pre_order(corpus5):
+    for c in [*corpus5, *_families(), *(c for c, _ in _large_families())]:
+        _assert_the_search_pre_order(c)
+
+
+@given(drawn_random_complexes)
+def test_the_shared_faces_keep_the_search_pre_order_on_random_complexes(c):
+    _assert_the_search_pre_order(c)
 
 
 def test_counting_and_the_table_never_build_the_cover():
