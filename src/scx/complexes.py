@@ -6,11 +6,12 @@ indices 0..n-1 in sorted label order and every face is an integer bitmask
 over those indices, so subset tests and power-set walks are single-word
 operations at the sizes this library targets (a few dozen vertices). This
 module owns that format: the constructor keeps the facet masks a sorted
-antichain and ``_mask_of`` reads a collection of labels by the one label
-rule. There are two listing orders: ``_listed`` sorts face and subset masks
-by size, then labels, with no label tuples, while ``facets()``, and so
-``to_facet_text``, ``scx info`` and ``repr``, sorts the facets' label tuples
-lexicographically.
+antichain, the enumerator, whose masks are one already, sets them through
+the unchecked builder ``_of_antichain``, and ``_mask_of`` reads a collection
+of labels by the one label rule. There are two listing orders: ``_listed``
+sorts face and subset masks by size, then labels, with no label tuples,
+while ``facets()``, and so ``to_facet_text``, ``scx info`` and ``repr``,
+sorts the facets' label tuples lexicographically.
 
 Two degenerate complexes are kept apart deliberately: the *void* complex has
 no faces at all, not even the empty one, and every counting operation rejects
@@ -27,8 +28,8 @@ function, so concurrent use needs no coordination. A complex builds its
 derived tables on first use and keeps them for its lifetime; nothing is
 cached at module level; the vertex count ``n`` is a plain attribute, and
 ``f_vector()`` returns the one FVector built on first use. Membership and
-links read the facets alone. One depth-first search from the constructor's
-vertex bitsets finds the shared faces S, those in two facets or more, each
+links read the facets alone. One depth-first search from the vertex
+bitsets finds the shared faces S, those in two facets or more, each
 with the number of facets that contain it; no other module reads S. Every
 face count follows from S and the facet sizes by one formula, the complex's
 and its vertex links', and S is all the fine table needs, which the Eulerian
@@ -209,10 +210,12 @@ class SimplicialComplex:
     mask is dominated exactly when the AND of its vertices' bitsets is
     nonzero. On m distinct masks of at most |F| vertices that is
     O(m * |F|) word operations, not m^2 subset tests. The shared-face
-    search starts from the bitsets it keeps, ``_holders``. Bit j of
+    search starts from the bitsets it keeps, ``_holders``, where bit j of
     ``_holders[v]`` indexes the masks in the order the filter kept them,
-    largest first, not ``facet_masks``: read only bit counts and ANDs from
-    them, never facet indices.
+    largest first. A complex from the enumerator, which skips the
+    constructor, builds them on first use, bit j for ``facet_masks[j]``.
+    The two orders differ, so read only bit counts and ANDs from them,
+    never facet indices.
     """
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
@@ -243,13 +246,27 @@ class SimplicialComplex:
                 for v in vertices:
                     above[v] |= bit
                 kept.append(m)
+        self._of_antichain(labels, tuple(sorted(kept)))
+        self._holders = above  # the filter's bitsets, so the search builds none
+
+    def _of_antichain(self, labels: tuple[str, ...], masks: tuple[int, ...]) -> SimplicialComplex:
+        """Set the four attributes from a sorted antichain of masks that cover
+        exactly the labels, unchecked, and return self: the one place that sets
+        them, called by the constructor after its checks and by the enumerator
+        on a bare instance."""
         self.labels = labels
-        self.facet_masks = tuple(sorted(kept))
-        self._holders = above
+        self.facet_masks = masks
         # plain attributes, not properties: the void guard runs on every query,
         # and every multidegree query reads the vertex count
-        self.is_void = not kept
+        self.is_void = not masks
         self.n = len(labels)
+        return self
+
+    @cached_property
+    def _holders(self) -> list[int]:
+        """One bitset per vertex, bit j set when the j-th facet mask holds it;
+        the constructor stores its filter's bitsets here instead."""
+        return [sum(1 << j for j, m in enumerate(self.facet_masks) if m >> v & 1) for v in range(self.n)]
 
     # -- identity ---------------------------------------------------------
 
@@ -279,9 +296,9 @@ class SimplicialComplex:
         m(sigma), the number of facets that contain it, in the pre-order of
         one depth-first search (VoidComplex for void).
 
-        The search starts from the constructor's bitsets, one per vertex, bit
-        j set when the j-th facet kept holds the vertex: m(sigma) is a bit
-        count, so their order does not matter. A child of a face adds a
+        The search starts from the bitsets ``_holders``, one per vertex, bit
+        j set when the j-th facet holds the vertex: m(sigma) is a bit count,
+        so the facets' order does not matter. A child of a face adds a
         vertex above its top one, and its bitset is the AND of the face's and
         the vertex's: it is shared when that has two bits or more. S is
         closed downward, so a vertex that failed for a face fails for its
@@ -692,13 +709,16 @@ def enumerate_all_complexes(n: int) -> Iterator[SimplicialComplex]:
     whose bits mark its supersets among the 2^n candidates, the OR of the
     chosen masks' ints bars every candidate they exclude, and the candidates
     left are the bits of one int. Each antichain's masks are squeezed onto
-    the dense indices of its vertex set and go to the constructor as they
-    are; the labels 1..5 sort as their numbers do.
+    the dense indices of its vertex set, which keeps their increasing order,
+    and the labels 1..5 sort as their numbers do: each is a sorted antichain
+    over exactly its labels already, so it skips the constructor's checks
+    and filter, and its vertex bitsets are built only if a search asks.
     """
     _check_int(n, "enumeration needs an int n >= 1", 1)
     if n > 5:
         raise TooLarge("refusing to enumerate beyond 5 vertices")
-    yield SimplicialComplex((), [0])
+    bare = SimplicialComplex.__new__
+    yield bare(SimplicialComplex)._of_antichain((), (0,))
     top = 1 << n
     labels = [str(i + 1) for i in range(n)]
     # per vertex set: its labels, and each of its subsets on its dense indices;
@@ -713,7 +733,7 @@ def enumerate_all_complexes(n: int) -> Iterator[SimplicialComplex]:
         for m in _bits((1 << top) - (1 << start) & ~barred):
             picked = chosen + (m,)
             vertices, squeeze = dense[used | m]
-            yield SimplicialComplex(vertices, [squeeze[x] for x in picked])
+            yield bare(SimplicialComplex)._of_antichain(vertices, tuple([squeeze[x] for x in picked]))
             yield from grow(m + 1, picked, used | m, barred | above[m])
 
     yield from grow(1, (), 0, 0)

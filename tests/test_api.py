@@ -201,9 +201,10 @@ def test_the_only_cross_call_state_is_the_packing_slot():
 
 
 def test_only_complexes_reads_the_shared_faces():
-    # the shared faces, their counting formula and the vertex bitsets are one
-    # module's format: no other module names them, as whole identifiers
-    private = [re.compile(rf"\b{name}\b") for name in ("_shared", "_face_counts", "_holders")]
+    # the shared faces, their counting formula, the vertex bitsets and the
+    # unchecked builder are one module's format: no other module names them,
+    # as whole identifiers
+    private = [re.compile(rf"\b{name}\b") for name in ("_shared", "_face_counts", "_holders", "_of_antichain")]
     sources = {p.name: p.read_text(encoding="utf-8") for p in Path(scx.__file__).parent.glob("*.py")}
     assert all(name.search(sources["complexes.py"]) for name in private)
     readers = {(file, name.pattern) for file, text in sources.items() if file != "complexes.py"

@@ -642,6 +642,30 @@ def test_enumerate_matches_the_label_built_oracle(n):
         (c.labels, c.facet_masks) for c in complexes_by_labels(n)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerated_complexes_answer_as_the_checked_constructor_does(n):
+    # the enumerator skips the constructor's checks and filter, and builds its
+    # vertex bitsets in facet_masks order, not the filter's
+    for c in enumerate_all_complexes(n):
+        checked = SimplicialComplex(c.labels, c.facet_masks)
+        assert checked.facet_masks == c.facet_masks and checked.is_void is c.is_void and checked.n == c.n
+        assert c.f_vector() == checked.f_vector(), c
+        assert list(c._shared.items()) == list(checked._shared.items()), c
+        assert c._faces[0] == checked._faces[0] and tuple(c._faces[1]) == tuple(checked._faces[1]), c
+        assert c._fine_terms == checked._fine_terms, c
+        assert classify(c) == classify(checked) and minimal_nonfaces(c) == minimal_nonfaces(checked), c
+
+
+def test_enumerated_complexes_build_their_vertex_bitsets_on_first_use():
+    for c in enumerate_all_complexes(4):
+        assert "_holders" not in vars(c), c
+        c.f_vector()
+        # one facet shares nothing, so its search never starts
+        assert ("_holders" in vars(c)) == (len(c.facet_masks) > 1), c
+    for c in (from_facets([[]]), from_facets([[1, 2]]), from_facets([[1, 2], [2, 3]]), cross_polytope(3)):
+        assert "_holders" in vars(c), c
+
+
 def test_enumerate_bounds():
     with pytest.raises(InvalidParameter):
         list(enumerate_all_complexes(0))

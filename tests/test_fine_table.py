@@ -360,6 +360,30 @@ def test_the_shared_faces_list_every_subset_first_on_random_complexes(c):
     _assert_subsets_come_first(c)
 
 
+def _assert_each_subtree_is_the_run_after_it(c):
+    # the two properties _fine_terms' walk reads off list(c._shared), stated
+    # without the search: every shared proper subset of a face comes before
+    # it, and the masks after it, up to the next one no larger, are exactly
+    # its shared supersets that add only vertices above its top one
+    _assert_subsets_come_first(c)
+    order = list(c._shared)
+    for i, face in enumerate(order):
+        end = next((j for j in range(i + 1, len(order)) if order[j] <= face), len(order))
+        low = (1 << face.bit_length()) - 1  # the top vertex and those below it
+        subtree = {m for m in order if m != face and m & face == face and not m & ~face & low}
+        assert set(order[i + 1:end]) == subtree, (c, face)
+
+
+def test_each_shared_face_is_followed_by_its_subtree(corpus4, corpus5):
+    for c in [*corpus4, *corpus5]:
+        _assert_each_subtree_is_the_run_after_it(c)
+
+
+@given(drawn_random_complexes)
+def test_each_shared_face_is_followed_by_its_subtree_on_random_complexes(c):
+    _assert_each_subtree_is_the_run_after_it(c)
+
+
 def _assert_the_search_pre_order(c):
     # _fine_terms reads each face's subtree as the run of masks after it
     assert list(c._shared) == sorted(c._shared, key=search_order_key), c
