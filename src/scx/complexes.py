@@ -3,12 +3,12 @@
 A complex is determined by its facets (inclusion-maximal faces). Vertex
 labels are arbitrary whitespace-free tokens; internally they map to dense
 indices 0..n-1 in sorted label order and every face is an integer bitmask
-over those indices, so subset tests and power-set walks are single-word
-operations at the sizes this library targets (a few dozen vertices). This
-module owns that format: the constructor keeps the facet masks a sorted
-antichain, the enumerator, whose masks are one already, sets them through
-the unchecked builder ``_of_antichain``, and ``_mask_of`` reads a collection
-of labels by the one label rule. There are two listing orders: ``_listed``
+over those indices, so a subset test is one AND and one compare: a single
+word up to 64 vertices, and a few dozen words on the thousands of vertices
+of a long cycle. This module owns that format: the constructor keeps the
+facet masks a sorted antichain, the enumerator, whose masks are one
+already, sets them through the unchecked builder ``_of_antichain``, and
+``_mask_of`` reads a collection of labels by the one label rule. There are two listing orders: ``_listed``
 sorts face and subset masks by size, then labels, with no label tuples,
 while ``facets()``, and so ``to_facet_text``, ``scx info`` and ``repr``,
 sorts the facets' label tuples lexicographically.
@@ -205,17 +205,18 @@ class SimplicialComplex:
     structural. The constructor owns the antichain: it takes any masks that
     cover exactly the labels, strings that pass the label rule, else raises
     InvalidParameter, and keeps each maximal one once, so the facets answer
-    every query they can. It finds dominated masks largest first with one
+    every query they can. It visits the distinct masks largest number
+    first, so every strict superset of a mask comes before it, with one
     bitset per vertex, bit j set when the j-th mask kept holds the vertex: a
     mask is dominated exactly when the AND of its vertices' bitsets is
     nonzero. On m distinct masks of at most |F| vertices that is
-    O(m * |F|) word operations, not m^2 subset tests. The shared-face
-    search starts from the bitsets it keeps, ``_holders``, where bit j of
-    ``_holders[v]`` indexes the masks in the order the filter kept them,
-    largest first. A complex from the enumerator, which skips the
-    constructor, builds them on first use, bit j for ``facet_masks[j]``.
-    The two orders differ, so read only bit counts and ANDs from them,
-    never facet indices.
+    O(m * |F|) word operations, not m^2 subset tests. The masks kept
+    descend, so ``facet_masks`` is their reversal and bit j marks
+    ``facet_masks[~j]``. The constructor stores these bitsets as
+    ``_holders``, where the shared-face search starts, and a complex from
+    the enumerator, which skips the constructor, builds the same ones on
+    first use: on every construction path a reader may take facet indices
+    from them, not only bit counts and ANDs.
     """
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
@@ -230,11 +231,12 @@ class SimplicialComplex:
         if not ok:
             raise InvalidParameter("facet masks must cover exactly the strictly increasing labels, "
                                    "each a nonempty string without whitespace")
-        # every mask kept before m is at least as large as m and differs from it,
-        # so a kept mask holding all of m's vertices is a strict superset of m
+        # a strict superset of m is a larger number, so every mask that could
+        # dominate m is visited first, and a kept mask holding all of m's
+        # vertices differs from m: it is a strict superset of m
         above = [0] * len(labels)  # bit j of above[v]: the j-th kept mask holds v
         kept: list[int] = []
-        for m in sorted(masks, key=int.bit_count, reverse=True):
+        for m in sorted(masks, reverse=True):
             vertices = _bits(m)
             common = -1 if kept else 0  # -1 stands for every kept mask, so [] drops
             for v in vertices:
@@ -246,7 +248,7 @@ class SimplicialComplex:
                 for v in vertices:
                     above[v] |= bit
                 kept.append(m)
-        self._of_antichain(labels, tuple(sorted(kept)))
+        self._of_antichain(labels, tuple(reversed(kept)))  # kept descends
         self._holders = above  # the filter's bitsets, so the search builds none
 
     def _of_antichain(self, labels: tuple[str, ...], masks: tuple[int, ...]) -> SimplicialComplex:
@@ -264,9 +266,11 @@ class SimplicialComplex:
 
     @cached_property
     def _holders(self) -> list[int]:
-        """One bitset per vertex, bit j set when the j-th facet mask holds it;
-        the constructor stores its filter's bitsets here instead."""
-        return [sum(1 << j for j, m in enumerate(self.facet_masks) if m >> v & 1) for v in range(self.n)]
+        """One bitset per vertex, bit j set when ``facet_masks[~j]`` holds it,
+        counting from the last facet: the constructor's filter keeps the masks
+        in that order and stores its bitsets here, and an enumerated complex
+        builds the same ones on first use."""
+        return [sum(1 << j for j, m in enumerate(reversed(self.facet_masks)) if m >> v & 1) for v in range(self.n)]
 
     # -- identity ---------------------------------------------------------
 
@@ -297,10 +301,10 @@ class SimplicialComplex:
         one depth-first search (VoidComplex for void).
 
         The search starts from the bitsets ``_holders``, one per vertex, bit
-        j set when the j-th facet holds the vertex: m(sigma) is a bit count,
-        so the facets' order does not matter. A child of a face adds a
-        vertex above its top one, and its bitset is the AND of the face's and
-        the vertex's: it is shared when that has two bits or more. S is
+        j set when ``facet_masks[~j]`` holds the vertex: m(sigma) is a bit
+        count. A child of a face adds a vertex above its top one, and its
+        bitset is the AND of the face's and the vertex's: it is shared when
+        that has two bits or more. S is
         closed downward, so a vertex that failed for a face fails for its
         children too, and each child tries only the vertices of its shared
         siblings (Eclat). The search visits each shared face once and no

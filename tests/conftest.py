@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from scx import enumerate_all_complexes, random_complex
+from scx import cycle, enumerate_all_complexes, random_complex, whiskered_cycle
+from oracles import flag_sphere_by_edge_subdivisions
 
 # property tests draw the same examples on every run and leave no database behind
 settings.register_profile("scx", derandomize=True, database=None, deadline=None)
@@ -35,3 +36,10 @@ def random_corpus():
             max_facet_size=min(n, seed % 5 + 1),
         ))
     return out
+
+
+@pytest.fixture(scope="session")
+def sparse():
+    """Complexes with many vertices and few faces each: a 2,000-cycle, a cycle
+    with 500 whiskers on one vertex, and a seeded flag 2-sphere on 300 vertices."""
+    return [cycle(2000), whiskered_cycle(500, 500), flag_sphere_by_edge_subdivisions(1, 294)]

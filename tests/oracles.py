@@ -5,13 +5,14 @@ alone builds each vertex link through SimplicialComplex.link, a route that
 shares no code with the shared-face count it checks."""
 
 import math
+import random
 from collections import Counter
 from decimal import Decimal, localcontext
 from itertools import combinations
 from operator import itemgetter
 
 from scx import (IntPolynomial, InvalidParameter, LinkIdentityResult, bit_indices, check_property_e,
-                 check_weak_property_e, from_facets, shift_poly)
+                 check_weak_property_e, cross_polytope, from_facets, shift_poly)
 
 # VT, FF, FS, GS, RS, NEL, LINE SEPARATOR and PARAGRAPH SEPARATOR: whitespace, and line ends
 # to str.splitlines(), but not to universal newlines, as open() and sys.stdin read a file
@@ -415,3 +416,19 @@ def complexes_by_labels(n):
     extend(())
     return [from_facets([[]])] + [
         from_facets([[str(v + 1) for v in bit_indices(m)] for m in chosen]) for chosen in sorted(antichains)]
+
+
+def flag_sphere_by_edge_subdivisions(seed, steps):
+    """A flag 2-sphere on 6 + steps vertices: cross_polytope(3) after steps
+    seeded edge subdivisions. Subdividing the edge ab adds a vertex w, and each
+    facet F that holds a and b becomes F - a + w and F - b + w, which keeps
+    flagness and the PL type (Lutz-Nevo, Math. Scand. 118, 2016)."""
+    rng = random.Random(seed)
+    facets = [frozenset(f) for f in cross_polytope(3).facets()]
+    for k in range(steps):
+        a, b = rng.sample(sorted(rng.choice(facets)), 2)
+        w = f"w{k}"
+        star = [f for f in facets if a in f and b in f]
+        facets = [f for f in facets if f not in star]
+        facets += [f - {x} | {w} for f in star for x in (a, b)]
+    return from_facets(facets)

@@ -644,11 +644,12 @@ def test_enumerate_matches_the_label_built_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerated_complexes_answer_as_the_checked_constructor_does(n):
-    # the enumerator skips the constructor's checks and filter, and builds its
-    # vertex bitsets in facet_masks order, not the filter's
+    # the enumerator skips the constructor's checks and filter, and builds on
+    # first use the very vertex bitsets the filter stores
     for c in enumerate_all_complexes(n):
         checked = SimplicialComplex(c.labels, c.facet_masks)
         assert checked.facet_masks == c.facet_masks and checked.is_void is c.is_void and checked.n == c.n
+        assert c._holders == checked._holders, c
         assert c.f_vector() == checked.f_vector(), c
         assert list(c._shared.items()) == list(checked._shared.items()), c
         assert c._faces[0] == checked._faces[0] and tuple(c._faces[1]) == tuple(checked._faces[1]), c
@@ -664,6 +665,33 @@ def test_enumerated_complexes_build_their_vertex_bitsets_on_first_use():
         assert ("_holders" in vars(c)) == (len(c.facet_masks) > 1), c
     for c in (from_facets([[]]), from_facets([[1, 2]]), from_facets([[1, 2], [2, 3]]), cross_polytope(3)):
         assert "_holders" in vars(c), c
+
+
+def _assert_bit_j_marks_the_jth_facet_from_the_last(c):
+    stored = vars(c)["_holders"]
+    assert len(stored) == c.n and stored == SimplicialComplex._holders.func(c), c
+    for v, bits in enumerate(stored):
+        assert bits >> len(c.facet_masks) == 0, (c, v)
+        for j in range(len(c.facet_masks)):
+            assert bits >> j & 1 == c.facet_masks[~j] >> v & 1, (c, v, j)
+
+
+def test_every_construction_path_stores_the_one_bitset_order():
+    # the filter's bitsets, as the constructor stores them, are the ones a
+    # complex that skipped it would build: bit j marks facet_masks[~j]
+    paths = [
+        from_facets([[1, 2], [2, 1], [3], [1, 2, 3], [4], [4], [], [2, 4], [5]]),
+        from_facets([[]]), from_facets([[], []]), from_facets([[], [1]]), from_facets(EX3),
+        from_facets([["6"], ["1", "2", "3", "4", "5"], ["1", "2"], ["6"], []]),
+        SimplicialComplex(tuple("abcdef"), [0b100000, 0b011111, 0b000011, 0b100000, 0]),
+        SimplicialComplex(("a", "b", "c"), [0b011, 0b110, 0b010, 0b101, 0b011]),
+        cycle(5).join(from_facets(EX3)), from_facets(EX3).suspension(),
+        cross_polytope(3).link(["1+"]), boundary_simplex(4).link(["1", "2"]),
+        boundary_simplex(4), full_simplex(3), cycle(7), cross_polytope(4), whiskered_cycle(5, 3),
+        *(random_complex(seed, 12, 30, 6) for seed in range(20)),
+    ]
+    for c in paths:
+        _assert_bit_j_marks_the_jth_facet_from_the_last(c)
 
 
 def test_enumerate_bounds():

@@ -350,8 +350,8 @@ def _assert_subsets_come_first(c):
             assert position[sub] < i, (c, m, sub)
 
 
-def test_the_shared_faces_list_every_subset_first(corpus5):
-    for c in [*corpus5, *_families(), *(c for c, _ in _large_families())]:
+def test_the_shared_faces_list_every_subset_first(corpus5, sparse):
+    for c in [*corpus5, *_families(), *(c for c, _ in _large_families()), *sparse]:
         _assert_subsets_come_first(c)
 
 
@@ -374,8 +374,8 @@ def _assert_each_subtree_is_the_run_after_it(c):
         assert set(order[i + 1:end]) == subtree, (c, face)
 
 
-def test_each_shared_face_is_followed_by_its_subtree(corpus4, corpus5):
-    for c in [*corpus4, *corpus5]:
+def test_each_shared_face_is_followed_by_its_subtree(corpus4, corpus5, sparse):
+    for c in [*corpus4, *corpus5, *sparse]:
         _assert_each_subtree_is_the_run_after_it(c)
 
 

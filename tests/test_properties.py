@@ -231,10 +231,12 @@ def _assert_link_counts_match_the_links(c):
         assert tuple(counts) == tuple(c.link([lab]).f_vector()), (c, lab)
 
 
-def test_link_counts_match_the_links_built_one_by_one(corpus5):
+def test_link_counts_match_the_links_built_one_by_one(corpus5, sparse):
     # the per-vertex counts, not only the verdict they lead to
-    for c in corpus5 + _families():
+    for c in corpus5 + _families() + sparse:
         _assert_link_counts_match_the_links(c)
+    sphere = sparse[-1]
+    assert check_link_identity(sphere) == (True, True, None) and classify(sphere).eulerian_sphere
 
 
 @given(st.builds(random_complex, st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 24), st.integers(1, 8)))
