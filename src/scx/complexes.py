@@ -8,10 +8,11 @@ word up to 64 vertices, and a few dozen words on the thousands of vertices
 of a long cycle. This module owns that format: the constructor keeps the
 facet masks a sorted antichain, the enumerator, whose masks are one
 already, sets them through the unchecked builder ``_of_antichain``, and
-``_mask_of`` reads a collection of labels by the one label rule. There are two listing orders: ``_listed``
-sorts face and subset masks by size, then labels, with no label tuples,
-while ``facets()``, and so ``to_facet_text``, ``scx info`` and ``repr``,
-sorts the facets' label tuples lexicographically.
+``_mask_of`` reads a collection of labels by the one label rule. There are
+two listing orders: ``_listed`` sorts face and subset masks by size, then
+labels, with no label tuples, while ``facets()``, and so
+``to_facet_text``, ``scx info`` and ``repr``, sorts the facets' label
+tuples lexicographically.
 
 Two degenerate complexes are kept apart deliberately: the *void* complex has
 no faces at all, not even the empty one, and every counting operation rejects
@@ -95,8 +96,7 @@ FACE_BUDGET = 1 << 22
 def bit_indices(mask: int) -> Iterator[int]:
     """Indices of the set bits, ascending; InvalidParameter for a mask that is no
     nonnegative int."""
-    # exact ints skip the isinstance call; bool and other int subclasses take it
-    if mask.__class__ is not int and not isinstance(mask, int) or mask < 0:
+    if not isinstance(mask, int) or mask < 0:
         raise InvalidParameter(f"bit_indices needs a nonnegative mask, got {mask!r}")
     yield from _bits(mask)
 
@@ -186,6 +186,33 @@ def _link_face_counts(c: SimplicialComplex) -> Iterator[tuple[str, list[int]]]:
                                 [(m ^ bit, k) for m, k in shared if m & bit])
 
 
+def _antichain(masks: Iterable[int], n: int) -> tuple[list[int], list[int]]:
+    """(kept, bitsets) from distinct masks over n vertices in descending
+    numeric order: the maximal masks, still descending, and one bitset per
+    vertex, bit j set when ``kept[j]`` holds it; the one builder of the
+    vertex bitsets. A mask is dominated exactly when the AND of its
+    vertices' bitsets is nonzero: O(m * |F|) word operations on m masks of
+    at most |F| vertices, not m^2 subset tests."""
+    # a strict superset of m is a larger number, so every mask that could
+    # dominate m is visited first, and a kept mask holding all of m's
+    # vertices differs from m: it is a strict superset of m
+    above = [0] * n
+    kept: list[int] = []
+    for m in masks:
+        vertices = _bits(m)
+        common = -1 if kept else 0  # -1 stands for every kept mask, so [] drops
+        for v in vertices:
+            common &= above[v]
+            if not common:
+                break
+        if not common:
+            bit = 1 << len(kept)
+            for v in vertices:
+                above[v] |= bit
+            kept.append(m)
+    return kept, above
+
+
 def _listed(n: int, masks: Iterable[int]) -> list[int]:
     """The masks in the one listing order, by size, then labels: two stable
     sorts, descending by the bits read from vertex 0 up (index order is label
@@ -205,18 +232,14 @@ class SimplicialComplex:
     structural. The constructor owns the antichain: it takes any masks that
     cover exactly the labels, strings that pass the label rule, else raises
     InvalidParameter, and keeps each maximal one once, so the facets answer
-    every query they can. It visits the distinct masks largest number
-    first, so every strict superset of a mask comes before it, with one
-    bitset per vertex, bit j set when the j-th mask kept holds the vertex: a
-    mask is dominated exactly when the AND of its vertices' bitsets is
-    nonzero. On m distinct masks of at most |F| vertices that is
-    O(m * |F|) word operations, not m^2 subset tests. The masks kept
-    descend, so ``facet_masks`` is their reversal and bit j marks
-    ``facet_masks[~j]``. The constructor stores these bitsets as
-    ``_holders``, where the shared-face search starts, and a complex from
-    the enumerator, which skips the constructor, builds the same ones on
-    first use: on every construction path a reader may take facet indices
-    from them, not only bit counts and ANDs.
+    every query they can. Its filter, ``_antichain``, visits the distinct
+    masks largest number first, so every strict superset of a mask comes
+    before it. The masks kept descend, so ``facet_masks`` is their reversal
+    and bit j of the filter's vertex bitsets marks ``facet_masks[~j]``.
+    These are ``_holders``, where the shared-face search starts: the
+    constructor stores them, and a complex from ``_of_antichain`` runs the
+    one filter on first use, so on every construction path a reader may take
+    facet indices from them.
     """
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
@@ -231,25 +254,9 @@ class SimplicialComplex:
         if not ok:
             raise InvalidParameter("facet masks must cover exactly the strictly increasing labels, "
                                    "each a nonempty string without whitespace")
-        # a strict superset of m is a larger number, so every mask that could
-        # dominate m is visited first, and a kept mask holding all of m's
-        # vertices differs from m: it is a strict superset of m
-        above = [0] * len(labels)  # bit j of above[v]: the j-th kept mask holds v
-        kept: list[int] = []
-        for m in sorted(masks, reverse=True):
-            vertices = _bits(m)
-            common = -1 if kept else 0  # -1 stands for every kept mask, so [] drops
-            for v in vertices:
-                common &= above[v]
-                if not common:
-                    break
-            if not common:
-                bit = 1 << len(kept)
-                for v in vertices:
-                    above[v] |= bit
-                kept.append(m)
+        # the filter's bitsets are stored, so no search builds them again
+        kept, self._holders = _antichain(sorted(masks, reverse=True), len(labels))
         self._of_antichain(labels, tuple(reversed(kept)))  # kept descends
-        self._holders = above  # the filter's bitsets, so the search builds none
 
     def _of_antichain(self, labels: tuple[str, ...], masks: tuple[int, ...]) -> SimplicialComplex:
         """Set the four attributes from a sorted antichain of masks that cover
@@ -266,11 +273,10 @@ class SimplicialComplex:
 
     @cached_property
     def _holders(self) -> list[int]:
-        """One bitset per vertex, bit j set when ``facet_masks[~j]`` holds it,
-        counting from the last facet: the constructor's filter keeps the masks
-        in that order and stores its bitsets here, and an enumerated complex
-        builds the same ones on first use."""
-        return [sum(1 << j for j, m in enumerate(reversed(self.facet_masks)) if m >> v & 1) for v in range(self.n)]
+        """One bitset per vertex, bit j set when ``facet_masks[~j]`` holds it:
+        ``_antichain``'s, stored by the constructor, else built on first use
+        over the facets descending, every one of which an antichain keeps."""
+        return _antichain(reversed(self.facet_masks), self.n)[1]
 
     # -- identity ---------------------------------------------------------
 

@@ -147,9 +147,9 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     right-signed faces of each size k: the complex is Eulerian exactly when
     that count is f_k for every 1 <= k < d. The witness names the first
     failing face by size, then labels: at the smallest size k short of f_k,
-    the least vertex that is not right-signed when k = 1, else the least of
-    each facet's first k-subset, in label order, that is not right-signed.
-    No face set is built."""
+    the least of each facet's first k-subset, in label order, that is not
+    right-signed; at k = 1 that is the least failing vertex. No face set is
+    built."""
     if not c.is_pure():
         return Verdict(False, "not pure")
     d = c.dimension() + 1
@@ -164,12 +164,10 @@ def is_eulerian(c: SimplicialComplex) -> Verdict:
     if size == d:
         return Verdict(True)
     want = wanted[size]
-    if size == 1:  # every vertex is a face
-        sigma = next(1 << v for v in range(c.n) if table.get(1 << v, 0) != want)
-    else:  # the candidates share a size, so the first listed has the least labels
-        firsts = (next((m for m in map(sum, combinations([1 << v for v in _bits(F)], size))
-                        if table.get(m, 0) != want), 0) for F in c.facet_masks)
-        sigma = _listed(c.n, filter(None, firsts))[0]
+    # the candidates share a size, so the first listed has the least labels
+    firsts = (next((m for m in map(sum, combinations([1 << v for v in _bits(F)], size))
+                    if table.get(m, 0) != want), 0) for F in c.facet_masks)
+    sigma = _listed(c.n, filter(None, firsts))[0]
     face = " ".join(c._labels_of_mask(sigma))  # chi_top(link) = 1 - c_sigma
     return Verdict(False, f"face {{{face}}}: link chi_top={1 - table.get(sigma, 0)}, want {1 - want}")
 

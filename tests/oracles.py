@@ -1,8 +1,9 @@
 """Hand-rolled reference computations, deliberately independent of the library
 paths they cross-check. They read a complex only through its labels and
-facet masks, and build their own faces from those; link_identity_by_links
-alone builds each vertex link through SimplicialComplex.link, a route that
-shares no code with the shared-face count it checks."""
+facet masks, decode masks by their own digit scan, vertices_of, and build
+their own faces from those; link_identity_by_links alone builds each vertex
+link through SimplicialComplex.link, a route that shares no code with the
+shared-face count it checks."""
 
 import math
 import random
@@ -11,8 +12,8 @@ from decimal import Decimal, localcontext
 from itertools import combinations
 from operator import itemgetter
 
-from scx import (IntPolynomial, InvalidParameter, LinkIdentityResult, bit_indices, check_property_e,
-                 check_weak_property_e, cross_polytope, from_facets, shift_poly)
+from scx import (IntPolynomial, InvalidParameter, LinkIdentityResult, check_property_e, check_weak_property_e,
+                 cross_polytope, from_facets, shift_poly)
 
 # VT, FF, FS, GS, RS, NEL, LINE SEPARATOR and PARAGRAPH SEPARATOR: whitespace, and line ends
 # to str.splitlines(), but not to universal newlines, as open() and sys.stdin read a file
@@ -23,12 +24,18 @@ for _k in range(1, 80):
     _FACT.append(_FACT[-1] * _k)
 
 
+def vertices_of(mask):
+    """The indices of the set bits, ascending, by a scan of the mask's binary
+    digits: the oracles' own decoder, which shares no code with the library's."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def faces_of(c):
     """Every face mask of c, the empty face included: each subset of each
     facet's vertices, by itertools.combinations."""
     faces = set()
     for facet in c.facet_masks:
-        vertices = [v for v in range(c.n) if facet >> v & 1]
+        vertices = vertices_of(facet)
         for k in range(len(vertices) + 1):
             faces.update(sum(1 << v for v in combo) for combo in combinations(vertices, k))
     return faces
@@ -177,7 +184,7 @@ def closed_under_subsets(c):
     """Brute-force closure check: dropping any vertex from a face gives a face."""
     faces = faces_of(c)
     for m in faces:
-        for v in bit_indices(m):
+        for v in vertices_of(m):
             if (m ^ (1 << v)) not in faces:
                 return False
     return True
@@ -191,7 +198,7 @@ def connected_bfs(c):
     adjacency = {i: set() for i in range(n)}
     for m in faces_of(c):
         if m.bit_count() == 2:
-            i, j = bit_indices(m)
+            i, j = vertices_of(m)
             adjacency[i].add(j)
             adjacency[j].add(i)
     seen = {0}
@@ -294,7 +301,7 @@ def link_identity_by_links(c):
 def listed_by_labels(labels, masks):
     """The masks in the listing order by its definition, by size, then labels:
     two stable sorts of (label tuple, mask) pairs, by the tuples, then by size."""
-    items = sorted(((tuple(labels[i] for i in bit_indices(m)), m) for m in masks), key=itemgetter(0))
+    items = sorted(((tuple(labels[i] for i in vertices_of(m)), m) for m in masks), key=itemgetter(0))
     items.sort(key=lambda item: len(item[0]))
     return [m for _, m in items]
 
@@ -304,7 +311,7 @@ def search_order_key(mask):
     ascending and negated, compared lexicographically. A child adds a vertex
     above its face's top one, so a face is a prefix of, and comes before, its
     whole subtree, one contiguous run; siblings go largest new vertex first."""
-    return tuple(-v for v in range(mask.bit_length()) if mask >> v & 1)
+    return tuple(-v for v in vertices_of(mask))
 
 
 def fine_terms_by_submask_walk(c):
@@ -383,7 +390,7 @@ def minimal_nonfaces_by_candidate_scan(c):
     one. n * #faces candidates, from faces_of."""
     faces = faces_of(c)
     candidates = {face | (1 << v) for face in faces for v in range(c.n)} - faces
-    return tuple(sorted(m for m in candidates if all(m ^ (1 << v) in faces for v in bit_indices(m))))
+    return tuple(sorted(m for m in candidates if all(m ^ (1 << v) in faces for v in vertices_of(m))))
 
 
 def minimal_transversals_of_complements(c):
@@ -396,7 +403,7 @@ def minimal_transversals_of_complements(c):
     for facet in c.facet_masks:
         edge = everything & ~facet
         grown = {t for t in transversals if t & edge}
-        grown |= {t | (1 << v) for t in transversals if not t & edge for v in bit_indices(edge)}
+        grown |= {t | (1 << v) for t in transversals if not t & edge for v in vertices_of(edge)}
         transversals = {t for t in grown if not any(o != t and o & t == o for o in grown)}
     return tuple(sorted(transversals))
 
@@ -415,7 +422,7 @@ def complexes_by_labels(n):
 
     extend(())
     return [from_facets([[]])] + [
-        from_facets([[str(v + 1) for v in bit_indices(m)] for m in chosen]) for chosen in sorted(antichains)]
+        from_facets([[str(v + 1) for v in vertices_of(m)] for m in chosen]) for chosen in sorted(antichains)]
 
 
 def flag_sphere_by_edge_subdivisions(seed, steps):

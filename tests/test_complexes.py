@@ -38,7 +38,7 @@ from scx import (
 )
 from scx.complexes import _bits, _listed
 from oracles import (NOT_LINE_ENDS, antichain_families, closed_under_subsets, complexes_by_labels, faces_of,
-                     join_by_labels, link_by_faces, listed_by_labels)
+                     join_by_labels, link_by_faces, listed_by_labels, vertices_of)
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]  # the running 4-vertex example
 
@@ -154,13 +154,11 @@ def test_bit_indices_refuses_a_negative_mask():
 
 
 def test_the_one_decoder_lists_the_set_bits_ascending():
-    def by_digits(mask):
-        return [i for i, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
-
+    # the oracles' digit scan is the reference
     rng = random.Random(12)
     masks = [*range(1 << 12), *(rng.getrandbits(rng.randint(13, 200)) for _ in range(3000))]
     for m in masks:
-        assert _bits(m) == by_digits(m) == list(bit_indices(m)), m
+        assert _bits(m) == vertices_of(m) == list(bit_indices(m)), m
     assert list(bit_indices(True)) == [0]  # a bool is an int, and bit_indices checks no more
 
 
@@ -289,7 +287,7 @@ def test_membership_and_links_match_the_faces(corpus4):
     for c in corpus4:
         faces = faces_of(c)
         for mask in range(1 << c.n):
-            face = [c.labels[v] for v in bit_indices(mask)]
+            face = [c.labels[v] for v in vertices_of(mask)]
             assert c.has_face(face) == (mask in faces)
             want = link_by_faces(c, mask)
             if want is None:
@@ -299,7 +297,7 @@ def test_membership_and_links_match_the_faces(corpus4):
             labels, facets = want
             lk = c.link(face)
             assert lk.labels == labels
-            want_facets = (tuple(c.labels[v] for v in bit_indices(m)) for m in facets)
+            want_facets = (tuple(c.labels[v] for v in vertices_of(m)) for m in facets)
             assert sorted(lk.facets()) == sorted(want_facets)
 
 
@@ -404,7 +402,7 @@ def test_full_simplex_faces():
 
 
 def _assert_faces_match_the_combinations(c):
-    want = sorted((tuple(c.labels[v] for v in bit_indices(m)) for m in faces_of(c)),
+    want = sorted((tuple(c.labels[v] for v in vertices_of(m)) for m in faces_of(c)),
                   key=lambda face: (len(face), face))
     assert c.faces() == want, c
 

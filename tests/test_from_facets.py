@@ -8,9 +8,9 @@ from operator import or_
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scx import (InvalidParameter, SimplicialComplex, bit_indices, boundary_simplex, cross_polytope,
+from scx import (InvalidParameter, SimplicialComplex, boundary_simplex, cross_polytope,
                  from_facets, parse_facet_text)
-from oracles import maximal_masks_by_pairs
+from oracles import maximal_masks_by_pairs, vertices_of
 
 LABELS = ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "a", "b"]
 
@@ -119,7 +119,7 @@ def test_constructor_equals_from_facets_and_the_pairwise_filter(drawn):
     c = SimplicialComplex(labels, masks)
     assert (c.labels, c.facet_masks) == (labels, maximal_masks_by_pairs(masks))
     assert c._holders == SimplicialComplex._holders.func(c)
-    assert c == from_facets([[labels[v] for v in bit_indices(m)] for m in masks])
+    assert c == from_facets([[labels[v] for v in vertices_of(m)] for m in masks])
 
 
 label_values = st.one_of(st.sampled_from(["a", "b", "10", "a b", ""]), st.text(max_size=3),

@@ -16,7 +16,6 @@ from scx import (
     InvalidParameter,
     TooLarge,
     VoidComplex,
-    bit_indices,
     boundary_simplex,
     classify,
     coarse_from_fine,
@@ -44,6 +43,7 @@ from oracles import (
     minimal_nonfaces_by_candidate_scan,
     minimal_transversals_of_complements,
     truncated_free_module_sum,
+    vertices_of,
 )
 
 EX3 = [[1, 2, 3], [2, 4], [3, 4]]
@@ -341,7 +341,7 @@ def test_fine_superset_sums_detect_faces(corpus4):
         p = fine_e_polynomial(c)
         faces = faces_of(c)
         for subset in range(1 << c.n):
-            labs = [c.labels[i] for i in bit_indices(subset)]
+            labs = [c.labels[i] for i in vertices_of(subset)]
             expected = 1 if subset in faces else 0
             assert p.superset_sum(labs) == expected
 
